@@ -8,6 +8,7 @@
 //! writes no JSON — the tier-1 regression gate.
 
 use ruby_bench::throughput;
+use ruby_core::search::SearchStrategy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,9 +38,9 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// A few hundred candidates per strategy, single-threaded: fails the
-/// process when any strategy finds no valid mapping, when the random
-/// walk repeats a candidate, or when single-thread random throughput
+/// A few hundred candidates per row, single-threaded: fails the process
+/// when any row finds no valid mapping, when the random walk repeats a
+/// candidate, or when single-thread warm or cold random throughput
 /// falls below half the committed `BENCH_search.json` baseline.
 fn smoke() {
     let report = throughput::run(300, 1, &[1]);
@@ -62,7 +63,7 @@ fn smoke() {
         }
         // The permuted walk makes random sampling duplicate-free by
         // construction; any repeat is a broken bijection.
-        if p.strategy == "random" && p.duplicates > 0 {
+        if p.strategy.starts_with("random") && p.duplicates > 0 {
             eprintln!(
                 "smoke failure: the random walk repeated {} candidates \
                  (the permutation guarantees zero)",
@@ -75,11 +76,14 @@ fn smoke() {
     println!("smoke ok: all strategies found valid mappings");
 }
 
-/// Regression guard: single-thread random throughput must stay above
-/// half the committed `BENCH_search.json` point. Re-measured best-of-3
-/// at a larger budget than the validity smoke so timer noise and cold
-/// caches don't trip the gate; skipped (loudly) when no comparable
-/// baseline is available.
+/// Regression guard: single-thread throughput of the `random` and
+/// `random-cold` rows must stay above half their committed
+/// `BENCH_search.json` points. Re-measured best-of-3 at a larger budget
+/// than the validity smoke so timer noise and cold caches don't trip
+/// the gate: `random` at 2,000 candidates, `random-cold` at the
+/// baseline's own budget (tabulation is a fixed cost per run, so its
+/// samples/sec depends on the budget). Each row is skipped (loudly)
+/// when no comparable baseline is available.
 fn throughput_floor() {
     let path = "BENCH_search.json";
     let Ok(json) = std::fs::read_to_string(path) else {
@@ -105,31 +109,42 @@ fn throughput_floor() {
         println!("throughput floor: instrumentation modes differ, skipping");
         return;
     }
-    let Some(base) = baseline
-        .points
-        .iter()
-        .find(|p| p.strategy == "random" && p.threads == 1)
-    else {
-        println!("throughput floor: no committed random 1-thread point, skipping");
-        return;
-    };
-    let floor = base.samples_per_sec * 0.5;
-    let fresh = throughput::run(2_000, 3, &[1]);
-    let measured = fresh
-        .points
-        .iter()
-        .find(|p| p.strategy == "random" && p.threads == 1)
-        .map_or(0.0, |p| p.samples_per_sec);
-    if measured < floor {
-        eprintln!(
-            "smoke failure: random 1-thread throughput {measured:.0} samples/s \
-             fell below the regression floor {floor:.0} \
-             (0.5x the committed {:.0})",
-            base.samples_per_sec
+    let warm = throughput::space();
+    for row in throughput::ROWS
+        .into_iter()
+        .filter(|r| r.strategy == SearchStrategy::Random)
+    {
+        let Some(base) = baseline
+            .points
+            .iter()
+            .find(|p| p.strategy == row.name && p.threads == 1)
+        else {
+            println!(
+                "throughput floor: no committed {} 1-thread point, skipping",
+                row.name
+            );
+            continue;
+        };
+        let budget = if row.cold {
+            baseline.max_evaluations
+        } else {
+            2_000
+        };
+        let floor = base.samples_per_sec * 0.5;
+        let measured = throughput::measure(row, &warm, 1, budget, 3).samples_per_sec;
+        if measured < floor {
+            eprintln!(
+                "smoke failure: {} 1-thread throughput {measured:.0} samples/s \
+                 fell below the regression floor {floor:.0} \
+                 (0.5x the committed {:.0})",
+                row.name, base.samples_per_sec
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "throughput floor ok: {} {measured:.0} samples/s >= {floor:.0} \
+             (0.5x committed baseline)",
+            row.name
         );
-        std::process::exit(1);
     }
-    println!(
-        "throughput floor ok: {measured:.0} samples/s >= {floor:.0} (0.5x committed baseline)"
-    );
 }

@@ -4,20 +4,23 @@
 //! The paper's methodology evaluates hundreds of thousands of sampled
 //! mappings per layer, so mapper throughput bounds every experiment.
 //! [`run`] times the full sample→evaluate→compare loop on the Eyeriss-like
-//! preset over a misaligned ResNet-50-style layer for every
-//! [`SearchStrategy`] at each thread count, reporting samples/sec,
-//! valid-rate, dedup hit-rate and pruning counters; the
-//! `search_throughput` binary writes the result to `BENCH_search.json`
-//! as the baseline future PRs are measured against.
+//! preset over a misaligned ResNet-50-style layer for every row of
+//! [`ROWS`] at each thread count, reporting samples/sec, valid-rate,
+//! dedup hit-rate and pruning counters; the `search_throughput` binary
+//! writes the result to `BENCH_search.json` as the baseline future
+//! changes are measured against. Warm rows search one mapspace whose
+//! enumeration tables are built once and then reused; the
+//! `random-cold` row builds a fresh mapspace per run, so its time
+//! includes the tabulation a cold query pays.
 
 use std::time::Instant;
 
 use ruby_core::prelude::*;
 
-/// Throughput of one strategy at one thread count.
+/// Throughput of one row at one thread count.
 #[derive(Debug, Clone)]
 pub struct ThroughputPoint {
-    /// Search strategy measured ([`SearchStrategy::name`]).
+    /// Row measured ([`Row::name`]).
     pub strategy: String,
     /// Worker threads used.
     pub threads: u64,
@@ -98,8 +101,8 @@ pub struct ThroughputReport {
     pub repeats: u64,
     /// Hardware threads the machine offered during the measurement.
     pub available_parallelism: u64,
-    /// One entry per strategy per thread count, grouped by strategy in
-    /// [`SearchStrategy`] declaration order, thread counts ascending.
+    /// One entry per row per thread count, grouped by row in [`ROWS`]
+    /// order, thread counts in request order.
     pub points: Vec<ThroughputPoint>,
 }
 
@@ -115,11 +118,40 @@ serde::impl_serde_struct!(ThroughputReport {
     points,
 });
 
-/// The strategies measured, in reporting order.
-pub const STRATEGIES: [SearchStrategy; 3] = [
-    SearchStrategy::Random,
-    SearchStrategy::Exhaustive,
-    SearchStrategy::Hybrid,
+/// One measured row: a strategy, searched warm or cold.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    /// The row's name in the report.
+    pub name: &'static str,
+    /// The search strategy.
+    pub strategy: SearchStrategy,
+    /// Whether every timed run searches a fresh mapspace, paying for
+    /// its enumeration tables, instead of the shared warm one.
+    pub cold: bool,
+}
+
+/// The rows measured, in reporting order.
+pub const ROWS: [Row; 4] = [
+    Row {
+        name: "random",
+        strategy: SearchStrategy::Random,
+        cold: false,
+    },
+    Row {
+        name: "random-cold",
+        strategy: SearchStrategy::Random,
+        cold: true,
+    },
+    Row {
+        name: "exhaustive",
+        strategy: SearchStrategy::Exhaustive,
+        cold: false,
+    },
+    Row {
+        name: "hybrid",
+        strategy: SearchStrategy::Hybrid,
+        cold: false,
+    },
 ];
 
 /// The misaligned pointwise layer used by the integration tests: M = 256
@@ -128,71 +160,31 @@ fn layer() -> ProblemShape {
     ProblemShape::conv("pw_256", 1, 256, 64, 28, 28, 1, 1, (1, 1))
 }
 
-/// Measures every strategy's search throughput at each of
-/// `thread_counts`, spending exactly `max_evaluations` candidates per
-/// run (no early termination, so every run of a strategy does identical
-/// work) and keeping the fastest of `repeats` timed runs per point.
-/// Thread counts above the machine's parallelism are measured anyway but
-/// flagged [`ThroughputPoint::oversubscribed`]; callers that only want
+/// The measured mapspace (Ruby-S, [`layer`], Eyeriss 14×12), with its
+/// enumeration tables not yet built.
+pub fn space() -> Mapspace {
+    Mapspace::new(presets::eyeriss_like(14, 12), layer(), MapspaceKind::RubyS)
+}
+
+/// Measures every row's search throughput at each of `thread_counts`,
+/// spending exactly `max_evaluations` candidates per run (no early
+/// termination, so every run of a row does identical work) and keeping
+/// the fastest of `repeats` timed runs per point. Thread counts above
+/// the machine's parallelism are measured anyway but flagged
+/// [`ThroughputPoint::oversubscribed`]; callers that only want
 /// hardware-scaling points should filter the request list first.
 pub fn run(max_evaluations: u64, repeats: u64, thread_counts: &[usize]) -> ThroughputReport {
     assert!(repeats > 0, "need at least one timed repeat");
-    let available = ruby_core::search::default_threads() as u64;
-    let arch = presets::eyeriss_like(14, 12);
-    let space = Mapspace::new(arch, layer(), MapspaceKind::RubyS);
-    let mut points = Vec::with_capacity(STRATEGIES.len() * thread_counts.len());
-    for strategy in STRATEGIES {
+    let warm = space();
+    let mut points = Vec::with_capacity(ROWS.len() * thread_counts.len());
+    for row in ROWS {
         let base_index = points.len();
         for &threads in thread_counts {
-            let config = SearchConfig {
-                seed: 1,
-                max_evaluations: Some(max_evaluations),
-                termination: None,
-                threads,
-                strategy,
-                ..SearchConfig::default()
-            };
-            let mut best_seconds = f64::INFINITY;
-            let mut outcome = None;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let result = Engine::new(&space).with_config(config.clone()).run();
-                let seconds = start.elapsed().as_secs_f64();
-                if seconds < best_seconds {
-                    best_seconds = seconds;
-                    outcome = Some(result);
-                }
-            }
-            // lint: allow(panics) — the repeat loop runs at least once
-            // (repeats is clamped to >= 1), so an outcome was recorded.
-            let outcome = outcome.expect("repeats > 0");
-            let valid_rate = if outcome.evaluations > 0 {
-                outcome.valid as f64 / outcome.evaluations as f64
-            } else {
-                0.0
-            };
-            points.push(ThroughputPoint {
-                strategy: strategy.name().to_owned(),
-                threads: threads as u64,
-                oversubscribed: threads as u64 > available,
-                evaluations: outcome.evaluations,
-                valid: outcome.valid,
-                invalid: outcome.invalid,
-                duplicates: outcome.duplicates,
-                pruned_subtrees: outcome.pruned_subtrees,
-                pruned_mappings: outcome.pruned_mappings,
-                valid_rate,
-                best_edp: outcome.best.map_or(-1.0, |b| b.report.edp()),
-                exhausted: outcome.exhausted,
-                seconds: best_seconds,
-                samples_per_sec: outcome.evaluations as f64 / best_seconds,
-                speedup: 0.0,             // filled in below
-                parallel_efficiency: 0.0, // filled in below
-            });
+            points.push(measure(row, &warm, threads, max_evaluations, repeats));
         }
-        // Speedup is pinned to this strategy's measured single-thread
-        // point, not merely the first point: a request list without 1
-        // leaves the ratios at their 0.0 sentinel instead of silently
+        // Speedup is pinned to this row's measured single-thread point,
+        // not merely the first point: a request list without 1 leaves
+        // the ratios at their 0.0 sentinel instead of silently
         // normalizing against a multi-threaded base.
         let base = points[base_index..]
             .iter()
@@ -213,8 +205,71 @@ pub fn run(max_evaluations: u64, repeats: u64, thread_counts: &[usize]) -> Throu
         mapspace: MapspaceKind::RubyS.name().to_owned(),
         max_evaluations,
         repeats,
-        available_parallelism: available,
+        available_parallelism: ruby_core::search::default_threads() as u64,
         points,
+    }
+}
+
+/// Measures `row` at `threads` threads: exactly `max_evaluations`
+/// candidates per run, the fastest of `repeats` runs kept. A warm row
+/// searches `warm` (the first search of it builds its tables, later
+/// ones reuse them); a cold row searches a fresh [`space`] every run.
+/// `speedup` and `parallel_efficiency` are left at 0 for [`run`].
+pub fn measure(
+    row: Row,
+    warm: &Mapspace,
+    threads: usize,
+    max_evaluations: u64,
+    repeats: u64,
+) -> ThroughputPoint {
+    let config = SearchConfig {
+        seed: 1,
+        max_evaluations: Some(max_evaluations),
+        termination: None,
+        threads,
+        strategy: row.strategy,
+        ..SearchConfig::default()
+    };
+    let mut best_seconds = f64::INFINITY;
+    let mut outcome = None;
+    for _ in 0..repeats.max(1) {
+        let start = Instant::now();
+        let result = if row.cold {
+            Engine::new(&space()).with_config(config.clone()).run()
+        } else {
+            Engine::new(warm).with_config(config.clone()).run()
+        };
+        let seconds = start.elapsed().as_secs_f64();
+        if seconds < best_seconds {
+            best_seconds = seconds;
+            outcome = Some(result);
+        }
+    }
+    // lint: allow(panics) — the repeat loop runs at least once
+    // (`repeats.max(1)`), so an outcome was recorded.
+    let outcome = outcome.expect("repeats > 0");
+    let valid_rate = if outcome.evaluations > 0 {
+        outcome.valid as f64 / outcome.evaluations as f64
+    } else {
+        0.0
+    };
+    ThroughputPoint {
+        strategy: row.name.to_owned(),
+        threads: threads as u64,
+        oversubscribed: threads > ruby_core::search::default_threads(),
+        evaluations: outcome.evaluations,
+        valid: outcome.valid,
+        invalid: outcome.invalid,
+        duplicates: outcome.duplicates,
+        pruned_subtrees: outcome.pruned_subtrees,
+        pruned_mappings: outcome.pruned_mappings,
+        valid_rate,
+        best_edp: outcome.best.map_or(-1.0, |b| b.report.edp()),
+        exhausted: outcome.exhausted,
+        seconds: best_seconds,
+        samples_per_sec: outcome.evaluations as f64 / best_seconds,
+        speedup: 0.0,
+        parallel_efficiency: 0.0,
     }
 }
 
@@ -226,7 +281,7 @@ pub fn render(report: &ThroughputReport) -> String {
         report.arch, report.workload, report.mapspace, report.max_evaluations, report.repeats
     ));
     out.push_str(
-        "strategy   threads    samples/sec  valid%   dup%  pruned    speedup   efficiency\n",
+        "strategy     threads    samples/sec  valid%   dup%  pruned    speedup   efficiency\n",
     );
     for p in &report.points {
         let dup_rate = if p.evaluations > 0 {
@@ -235,7 +290,7 @@ pub fn render(report: &ThroughputReport) -> String {
             0.0
         };
         out.push_str(&format!(
-            "{:<10} {:>7} {:>14.0} {:>6.1}% {:>5.1}% {:>7} {:>9.2}x {:>11.2}{}\n",
+            "{:<12} {:>7} {:>14.0} {:>6.1}% {:>5.1}% {:>7} {:>9.2}x {:>11.2}{}\n",
             p.strategy,
             p.threads,
             p.samples_per_sec,
@@ -261,9 +316,9 @@ mod tests {
     #[test]
     fn single_thread_report_covers_every_strategy() {
         let report = run(200, 1, &[1]);
-        assert_eq!(report.points.len(), STRATEGIES.len());
-        for (p, s) in report.points.iter().zip(STRATEGIES) {
-            assert_eq!(p.strategy, s.name());
+        assert_eq!(report.points.len(), ROWS.len());
+        for (p, row) in report.points.iter().zip(ROWS) {
+            assert_eq!(p.strategy, row.name);
             assert!(p.samples_per_sec > 0.0, "{}", p.strategy);
             assert_eq!(p.speedup, 1.0, "{}", p.strategy);
             assert_eq!(p.parallel_efficiency, 1.0, "{}", p.strategy);
@@ -282,9 +337,23 @@ mod tests {
     }
 
     #[test]
+    fn cold_random_searches_exactly_what_warm_random_does() {
+        // Same seed, same walk: only the tabulation time may differ.
+        let report = run(200, 1, &[1]);
+        let (warm, cold) = (&report.points[0], &report.points[1]);
+        assert_eq!(
+            (warm.strategy.as_str(), cold.strategy.as_str()),
+            ("random", "random-cold")
+        );
+        assert_eq!(warm.evaluations, cold.evaluations);
+        assert_eq!(warm.valid, cold.valid);
+        assert_eq!(warm.best_edp.to_bits(), cold.best_edp.to_bits());
+    }
+
+    #[test]
     fn scaling_points_cover_requested_threads() {
         let report = run(200, 1, &[1, 2]);
-        assert_eq!(report.points.len(), 2 * STRATEGIES.len());
+        assert_eq!(report.points.len(), 2 * ROWS.len());
         // Random at 2 threads: same total work as at 1.
         assert_eq!(report.points[1].strategy, "random");
         assert_eq!(report.points[1].threads, 2);
@@ -358,6 +427,7 @@ mod tests {
         assert!(text.contains("samples/sec"));
         assert!(text.contains("eyeriss:14x12"));
         assert!(text.contains("random"));
+        assert!(text.contains("random-cold"));
         assert!(text.contains("exhaustive"));
         assert!(text.contains("hybrid"));
         assert!(text.contains("valid%"));

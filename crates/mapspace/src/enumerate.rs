@@ -32,14 +32,42 @@
 //! Permutations are *not* enumerated (the iterator leaves the reused
 //! mapping's permutations untouched); search backends polish them
 //! separately.
+//!
+//! # Layout
+//!
+//! A table is a handful of flat arrays, not a tree of small vectors.
+//! Generation appends every chain as one fixed-stride row
+//! (`num_slots + 1` values) to a `Vec<u64>` arena and deduplicates by
+//! sorting the rows (a stable sort, so the sorted runs the factor walk
+//! emits merge cheaply). Grouping is one sort of packed
+//! `(signature rank, steps, chain rank)` keys; afterwards a table holds
+//! the arena, each entry's arena row and steps in table order, and per
+//! group only the range of its entries and its signature. Dimensions
+//! with equal bounds and slot rules share one table, and the region
+//! search threads its state down the recursion instead of undoing it.
+//!
+//! # Order contract
+//!
+//! The order is part of the interface — a `(region, index)` pair must
+//! name the same mapping in every build, or recorded search answers
+//! stop being reproducible:
+//!
+//! * groups by signature, lexicographically (innermost spatial slot
+//!   first);
+//! * entries within a group by `(steps, chain)`, cheapest first, so
+//!   leaf 0 of every region is its fastest member;
+//! * regions by `(min_steps, group tuple)`, which is unique per region.
+//!
+//! `tests/table_order_golden.rs` pins this order with recorded digests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
+use std::ops::Range;
 
-use ruby_mapping::{profile, Mapping, SlotLayout};
+use ruby_mapping::{profile, Mapping, ProfileScratch, SlotId, SlotKind, SlotLayout};
 use ruby_workload::Dim;
 
 use crate::factor;
-use crate::space::{enumerate_capped_factorizations, Mapspace, MapspaceKind, SlotRule};
+use crate::space::{Mapspace, MapspaceKind, SlotRule};
 
 /// Size guards for table construction. Enumeration is only worthwhile
 /// when the deduplicated per-dimension support is modest; past these
@@ -47,7 +75,8 @@ use crate::space::{enumerate_capped_factorizations, Mapspace, MapspaceKind, Slot
 /// to random sampling.
 #[derive(Debug, Clone, Copy)]
 pub struct EnumLimits {
-    /// Maximum deduplicated chains per dimension.
+    /// Maximum deduplicated chains per dimension (at most
+    /// `u32::MAX - 1` takes effect: entries are indexed by `u32`).
     pub max_entries_per_dim: usize,
     /// Maximum fanout-feasible signature combinations (regions).
     pub max_regions: usize,
@@ -94,26 +123,195 @@ impl std::fmt::Display for EnumError {
 
 impl std::error::Error for EnumError {}
 
-/// One deduplicated tile chain of one dimension, with its sequential
-/// step count (the dimension's contribution to compute cycles).
-#[derive(Debug, Clone)]
-struct DimEntry {
-    chain: Vec<u64>,
-    steps: u64,
-}
-
-/// All chains of one dimension sharing a spatial signature (loop counts
-/// at every spatial slot, innermost first).
-#[derive(Debug, Clone)]
-struct SigGroup {
-    counts: Vec<u64>,
-    min_steps: u64,
-    entries: Vec<DimEntry>,
-}
-
+/// One dimension's deduplicated chains, grouped by spatial signature
+/// (loop counts at every spatial slot, innermost first).
 #[derive(Debug, Clone)]
 struct DimTable {
-    groups: Vec<SigGroup>,
+    /// Chain length: slots + 1.
+    stride: usize,
+    /// Chain arena in generation order; row `r` is
+    /// `rows[r * stride..(r + 1) * stride]`. Rows no entry names are
+    /// duplicates.
+    rows: Vec<u64>,
+    /// Entry `e`'s arena row, in table order.
+    entry_rows: Vec<u32>,
+    /// Entry `e`'s sequential step count (the dimension's contribution
+    /// to compute cycles).
+    steps: Vec<u64>,
+    /// Group `g` owns entries `starts[g]..starts[g + 1]`.
+    starts: Vec<u32>,
+    /// Signature length: the number of spatial slots.
+    width: usize,
+    /// Group `g`'s signature is `counts[g * width..(g + 1) * width]`.
+    counts: Vec<u64>,
+    /// `skips[g * width + j]`: the first group after `g` whose signature
+    /// differs from `g`'s before slot `j` — where the region search
+    /// resumes once `g` fails at slot `j`.
+    skips: Vec<u32>,
+}
+
+impl DimTable {
+    /// Tabulates one dimension, or `None` when its deduplicated chains
+    /// outgrow `limit`.
+    fn build(
+        kind: MapspaceKind,
+        bound: u64,
+        rules: &[SlotRule],
+        layout: &SlotLayout,
+        spatial_slots: &[usize],
+        limit: usize,
+    ) -> Option<Self> {
+        let mut walk = ChainWalk::new(kind, bound, rules, limit);
+        walk.run().ok()?;
+        let stride = walk.chain.len();
+        let mut rows = walk.rows;
+        rows.shrink_to_fit();
+        let row = |r: u32| &rows[r as usize * stride..][..stride];
+        let unique = sorted_unique(&rows, stride);
+
+        // One packed key per distinct chain: (signature id, steps, chain
+        // rank). Signature ids are first-seen here and replaced by their
+        // lexicographic rank below, before the sort.
+        let width = spatial_slots.len();
+        let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut sigs: Vec<u64> = Vec::new();
+        let mut sig = vec![0u64; width];
+        let mut scratch = ProfileScratch::new();
+        let mut keys: Vec<u128> = Vec::with_capacity(unique.len());
+        for (rank, &r) in unique.iter().enumerate() {
+            let chain = row(r);
+            for (count, &s) in sig.iter_mut().zip(spatial_slots) {
+                *count = chain[s + 1].div_ceil(chain[s]);
+            }
+            let id = match ids.get(sig.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = ids.len() as u32;
+                    ids.insert(sig.clone(), id);
+                    sigs.extend_from_slice(&sig);
+                    id
+                }
+            };
+            let steps = profile::sequential_steps_with(chain, layout, &mut scratch);
+            keys.push(u128::from(id) << 96 | u128::from(steps) << 32 | rank as u128);
+        }
+        let sig_of = |id: u32| &sigs[id as usize * width..][..width];
+        let mut by_sig: Vec<u32> = (0..ids.len() as u32).collect();
+        by_sig.sort_unstable_by(|&a, &b| sig_of(a).cmp(sig_of(b)));
+        let mut rank_of = vec![0u32; by_sig.len()];
+        for (rank, &id) in by_sig.iter().enumerate() {
+            rank_of[id as usize] = rank as u32;
+        }
+        for key in &mut keys {
+            let id = (*key >> 96) as usize;
+            *key = u128::from(rank_of[id]) << 96 | (*key & ((1u128 << 96) - 1));
+        }
+        keys.sort_unstable();
+
+        let mut entry_rows = Vec::with_capacity(keys.len());
+        let mut steps = Vec::with_capacity(keys.len());
+        let mut starts = Vec::with_capacity(by_sig.len() + 1);
+        for key in keys {
+            // Every rank below the number of signatures has a member, so
+            // a group starts exactly when its rank first appears.
+            if starts.len() == (key >> 96) as usize {
+                starts.push(steps.len() as u32);
+            }
+            steps.push((key >> 32) as u64);
+            entry_rows.push(unique[key as u32 as usize]);
+        }
+        starts.push(steps.len() as u32);
+        let counts: Vec<u64> = by_sig.iter().flat_map(|&id| sig_of(id)).copied().collect();
+        let groups = by_sig.len();
+        let mut skips = vec![0u32; groups * width];
+        for g in (0..groups).rev() {
+            let shared = if g + 1 < groups {
+                let (this, next) = counts[g * width..(g + 2) * width].split_at(width);
+                this.iter().zip(next).take_while(|(a, b)| a == b).count()
+            } else {
+                0
+            };
+            for j in 0..width {
+                skips[g * width + j] = if g + 1 < groups && j <= shared {
+                    skips[(g + 1) * width + j]
+                } else {
+                    g as u32 + 1
+                };
+            }
+        }
+        Some(DimTable {
+            stride,
+            rows,
+            entry_rows,
+            steps,
+            starts,
+            width,
+            counts,
+            skips,
+        })
+    }
+
+    fn num_groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn entries(&self, group: usize) -> Range<usize> {
+        self.starts[group] as usize..self.starts[group + 1] as usize
+    }
+
+    /// The cheapest sequential steps in `group` (its first entry).
+    fn min_steps(&self, group: usize) -> u64 {
+        self.steps[self.starts[group] as usize]
+    }
+
+    fn counts(&self, group: usize) -> &[u64] {
+        &self.counts[group * self.width..][..self.width]
+    }
+
+    fn chain(&self, entry: usize) -> &[u64] {
+        &self.rows[self.entry_rows[entry] as usize * self.stride..][..self.stride]
+    }
+}
+
+/// Row indices of the fixed-`stride` `rows`, one per distinct chain, in
+/// lexicographic chain order. Among equal rows the first generated one
+/// is kept. The stable sort merges the already-sorted runs the factor
+/// walks emit instead of re-sorting them.
+fn sorted_unique(rows: &[u64], stride: usize) -> Vec<u32> {
+    let row = |r: u32| &rows[r as usize * stride..][..stride];
+    let mut order: Vec<u32> = (0..(rows.len() / stride) as u32).collect();
+    order.sort_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|later, first| row(*later) == row(*first));
+    order
+}
+
+/// Read-only view of one signature group of one dimension's table.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupView<'a> {
+    table: &'a DimTable,
+    group: usize,
+}
+
+impl<'a> GroupView<'a> {
+    /// The group's spatial signature: its loop count at every spatial
+    /// slot, innermost first.
+    pub fn counts(&self) -> &'a [u64] {
+        self.table.counts(self.group)
+    }
+
+    /// Sequential steps of the group's cheapest (first) entry.
+    pub fn min_steps(&self) -> u64 {
+        self.table.min_steps(self.group)
+    }
+
+    /// Every member's tile chain with its sequential steps, in table
+    /// order (cheapest first, ties by chain).
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (&'a [u64], u64)> + 'a {
+        let table = self.table;
+        table
+            .entries(self.group)
+            .map(move |e| (table.chain(e), table.steps[e]))
+    }
 }
 
 /// One fanout-feasible combination of signature groups (one per
@@ -122,7 +320,7 @@ struct DimTable {
 #[derive(Debug, Clone)]
 pub struct Region {
     /// Per-dimension group index (by [`Dim::ALL`] order).
-    group: [usize; 7],
+    group: [u32; 7],
     /// Mappings in this region (saturating; only indices below the true
     /// product are ever decoded).
     pub leaves: u64,
@@ -131,15 +329,27 @@ pub struct Region {
     pub min_steps: u64,
 }
 
+impl Region {
+    /// The index of the signature group `dim` takes in this region (see
+    /// [`EnumTables::groups`]).
+    pub fn group(&self, dim: Dim) -> usize {
+        self.group[dim.index()] as usize
+    }
+}
+
 /// Deduplicated per-dimension chain tables plus the sorted feasible
 /// regions of one [`Mapspace`].
 #[derive(Debug, Clone)]
 pub struct EnumTables {
     layout: SlotLayout,
     /// Slot indices of every spatial slot, innermost first — the index
-    /// space of each [`SigGroup::counts`] vector.
+    /// space of each group's signature.
     spatial_slots: Vec<usize>,
+    /// Distinct tables; dimensions with equal bounds and slot rules
+    /// share one.
     tables: Vec<DimTable>,
+    /// Each dimension's table (by [`Dim::ALL`] order).
+    table_of: [usize; 7],
     regions: Vec<Region>,
     total_leaves: u64,
 }
@@ -161,48 +371,36 @@ impl EnumTables {
             .collect();
 
         let mut tables = Vec::with_capacity(7);
-        for dim in Dim::ALL {
+        let mut tabulated: Vec<(u64, Vec<SlotRule>)> = Vec::with_capacity(7);
+        let mut table_of = [0usize; 7];
+        for (di, dim) in Dim::ALL.into_iter().enumerate() {
             let bound = space.shape().bound(dim);
             let rules = space.slot_rules_full(dim);
-            let chains =
-                enumerate_dim_chains(space.kind(), bound, &rules, limits).map_err(|()| {
-                    EnumError::DimTooLarge {
-                        dim,
-                        limit: limits.max_entries_per_dim,
-                    }
-                })?;
-            let mut by_sig: BTreeMap<Vec<u64>, Vec<DimEntry>> = BTreeMap::new();
-            for chain in chains {
-                let sig: Vec<u64> = spatial_slots
-                    .iter()
-                    .map(|&s| chain[s + 1].div_ceil(chain[s]))
-                    .collect();
-                let steps = profile::sequential_steps(&chain, &layout);
-                by_sig
-                    .entry(sig)
-                    .or_default()
-                    .push(DimEntry { chain, steps });
+            // Equal bounds and slot rules give equal tables.
+            if let Some(t) = tabulated
+                .iter()
+                .position(|(b, r)| *b == bound && *r == rules)
+            {
+                table_of[di] = t;
+                continue;
             }
-            let groups = by_sig
-                .into_iter()
-                .map(|(counts, mut entries)| {
-                    // Cheapest sequential steps first: leaf 0 of every
-                    // region is then its fastest member, and lexicographic
-                    // enumeration reaches low-latency leaves early.
-                    entries.sort_by(|a, b| (a.steps, &a.chain).cmp(&(b.steps, &b.chain)));
-                    SigGroup {
-                        counts,
-                        // lint: allow(panics) — groups are created from
-                        // at least one entry, never empty.
-                        min_steps: entries.first().expect("non-empty").steps,
-                        entries,
-                    }
-                })
-                .collect();
-            tables.push(DimTable { groups });
+            let limit = limits.max_entries_per_dim;
+            let table =
+                DimTable::build(space.kind(), bound, &rules, &layout, &spatial_slots, limit)
+                    .ok_or(EnumError::DimTooLarge { dim, limit })?;
+            table_of[di] = tables.len();
+            tables.push(table);
+            tabulated.push((bound, rules));
         }
 
-        let regions = build_regions(space, &layout, &spatial_slots, &tables, limits)?;
+        let regions = build_regions(
+            space,
+            &layout,
+            &spatial_slots,
+            &tables,
+            &table_of,
+            limits.max_regions,
+        )?;
         let total_leaves = regions
             .iter()
             .fold(0u64, |acc, r| acc.saturating_add(r.leaves));
@@ -210,9 +408,21 @@ impl EnumTables {
             layout,
             spatial_slots,
             tables,
+            table_of,
             regions,
             total_leaves,
         })
+    }
+
+    fn table(&self, dim_index: usize) -> &DimTable {
+        &self.tables[self.table_of[dim_index]]
+    }
+
+    /// The signature groups of `dim`'s table, in table order (see the
+    /// module's order contract).
+    pub fn groups(&self, dim: Dim) -> impl ExactSizeIterator<Item = GroupView<'_>> {
+        let table = self.table(dim.index());
+        (0..table.num_groups()).map(move |group| GroupView { table, group })
     }
 
     /// The spatial fanout `region` actually uses at each level: per
@@ -223,9 +433,9 @@ impl EnumTables {
     pub fn region_spatial_utilization(&self, region: &Region) -> Vec<u64> {
         let mut utilized = vec![1u64; self.layout.num_levels()];
         for (j, &s) in self.spatial_slots.iter().enumerate() {
-            let level = self.layout.level_of(ruby_mapping::SlotId::new(s));
-            for (di, table) in self.tables.iter().enumerate() {
-                let count = table.groups[region.group[di]].counts[j];
+            let level = self.layout.level_of(SlotId::new(s));
+            for (di, &g) in region.group.iter().enumerate() {
+                let count = self.table(di).counts(g as usize)[j];
                 utilized[level] = utilized[level].saturating_mul(count);
             }
         }
@@ -307,335 +517,362 @@ impl<'a> SubspaceIterator<'a> {
         self.pos += 1;
         let mut steps = 1u64;
         for (di, dim) in Dim::ALL.into_iter().enumerate() {
-            let group = &self.tables.tables[di].groups[self.region.group[di]];
-            let radix = group.entries.len() as u64;
-            let entry = &group.entries[(idx % radix) as usize];
+            let table = self.tables.table(di);
+            let entries = table.entries(self.region.group[di] as usize);
+            let radix = entries.len() as u64;
+            let entry = entries.start + (idx % radix) as usize;
             idx /= radix;
-            out.set_tile_chain(dim, &entry.chain);
-            steps = steps.saturating_mul(entry.steps);
+            out.set_tile_chain(dim, table.chain(entry));
+            steps = steps.saturating_mul(table.steps[entry]);
         }
         Some(steps)
     }
 }
 
-/// Enumerates the deduplicated chain support of one dimension under one
-/// mapspace kind's factorization rules, mirroring the sampler's factor
-/// ranges exactly. `Err(())` means the table outgrew the entry limit.
-fn enumerate_dim_chains(
+/// Depth-first generator of one dimension's tile chains, mirroring the
+/// sampler's factor ranges exactly for each mapspace kind. Each chain
+/// is appended as one row of a flat arena; whenever the arena passes
+/// the entry limit it is deduplicated in place, so duplicates never
+/// count toward the limit and the arena never holds more than
+/// `limit + 1` rows. `Err(())` means the distinct chains outgrew the
+/// limit.
+struct ChainWalk<'a> {
     kind: MapspaceKind,
     bound: u64,
-    rules: &[SlotRule],
-    limits: &EnumLimits,
-) -> Result<BTreeSet<Vec<u64>>, ()> {
-    let mut out = BTreeSet::new();
-    let limit = limits.max_entries_per_dim;
-    match kind {
-        MapspaceKind::Pfm => {
-            let caps: Vec<Option<u64>> = rules.iter().map(|r| r.cap).collect();
-            for factors in enumerate_capped_factorizations(bound, &caps) {
-                insert_chain(&mut out, bound, &factors, limit)?;
-            }
-        }
-        MapspaceKind::Ruby | MapspaceKind::RubyT => {
-            let spatial_free = kind == MapspaceKind::Ruby;
-            let divs = if spatial_free {
-                Vec::new()
-            } else {
-                factor::divisors(bound)
-            };
-            let mut factors = Vec::with_capacity(rules.len());
-            recurse_free(
-                bound,
-                rules,
-                &divs,
-                spatial_free,
-                1,
-                &mut factors,
-                &mut out,
-                limit,
-            )?;
-        }
-        MapspaceKind::RubyS => {
-            let spatial_positions: Vec<usize> = rules
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.spatial)
-                .map(|(i, _)| i)
-                .collect();
-            let num_temporal = rules.len() - spatial_positions.len();
-            let mut spatial = Vec::with_capacity(spatial_positions.len());
-            recurse_ruby_s(
-                bound,
-                rules,
-                &spatial_positions,
-                num_temporal,
-                1,
-                &mut spatial,
-                &mut out,
-                limit,
-            )?;
-        }
-    }
-    Ok(out)
+    rules: &'a [SlotRule],
+    /// Slot positions of the spatial rules, innermost first.
+    spatial_at: Vec<usize>,
+    /// Ruby-S: the chosen factor of every spatial slot, innermost first.
+    spatial: Vec<u64>,
+    /// Ascending divisors of `divs_of`: the bound (PFM, Ruby-T) or the
+    /// current temporal residual (Ruby-S).
+    divs: Vec<u64>,
+    divs_of: u64,
+    /// The chain under construction: `chain[i + 1]` is the tile after
+    /// slot `i` (cumulative product clamped to the bound).
+    chain: Vec<u64>,
+    /// Generated rows of `chain.len()` values each.
+    rows: Vec<u64>,
+    limit: usize,
 }
 
-/// Builds a chain from a per-slot factor vector the way
-/// [`ruby_mapping::MappingBuilder`] does: cumulative product, clamped to
-/// the bound, with the outermost entry stretched to the bound.
-fn insert_chain(
-    out: &mut BTreeSet<Vec<u64>>,
-    bound: u64,
-    factors: &[u64],
-    limit: usize,
-) -> Result<(), ()> {
-    let mut chain = Vec::with_capacity(factors.len() + 1);
-    chain.push(1u64);
-    let mut cum = 1u64;
-    for &f in factors {
-        cum = cum.saturating_mul(f).min(bound);
-        chain.push(cum);
-    }
-    // lint: allow(panics) — `chain` starts with a pushed 1 and grows,
-    // so it always has a last element.
-    *chain.last_mut().expect("non-empty chain") = bound;
-    out.insert(chain);
-    if out.len() > limit {
-        return Err(());
-    }
-    Ok(())
-}
-
-/// Ruby / Ruby-T: walk slots innermost-first. Spatial factors range over
-/// `[1, min(cap, ceil(bound/cum))]` (Ruby) or the divisors of the bound
-/// within that cap (Ruby-T); temporal factors over `[1, ceil(bound/cum)]`.
-/// The outermost slot is skipped: its chain entry is stretched to the
-/// bound regardless of the factor drawn there, so all its choices alias.
-#[allow(clippy::too_many_arguments)]
-fn recurse_free(
-    bound: u64,
-    rules: &[SlotRule],
-    divs: &[u64],
-    spatial_free: bool,
-    cum: u64,
-    factors: &mut Vec<u64>,
-    out: &mut BTreeSet<Vec<u64>>,
-    limit: usize,
-) -> Result<(), ()> {
-    let slot = factors.len();
-    if slot == rules.len() - 1 {
-        factors.push(1);
-        let r = insert_chain(out, bound, factors, limit);
-        factors.pop();
-        return r;
-    }
-    let rule = &rules[slot];
-    let needed = bound.div_ceil(cum);
-    let step = |f: u64, factors: &mut Vec<u64>, out: &mut BTreeSet<Vec<u64>>| {
-        factors.push(f);
-        let r = recurse_free(
+impl<'a> ChainWalk<'a> {
+    fn new(kind: MapspaceKind, bound: u64, rules: &'a [SlotRule], limit: usize) -> Self {
+        let spatial_at: Vec<usize> = (0..rules.len()).filter(|&i| rules[i].spatial).collect();
+        let (divs, divs_of) = match kind {
+            MapspaceKind::Pfm | MapspaceKind::RubyT => (factor::divisors(bound), bound),
+            MapspaceKind::Ruby | MapspaceKind::RubyS => (Vec::new(), 0),
+        };
+        ChainWalk {
+            kind,
             bound,
             rules,
+            spatial: vec![1; spatial_at.len()],
+            spatial_at,
             divs,
-            spatial_free,
-            cum.saturating_mul(f).min(bound),
-            factors,
-            out,
-            limit,
-        );
-        factors.pop();
-        r
-    };
-    if rule.spatial {
-        let cap = rule.cap.unwrap_or(u64::MAX).min(needed);
-        if spatial_free {
-            for f in 1..=cap {
-                step(f, factors, out)?;
+            divs_of,
+            chain: vec![1; rules.len() + 1],
+            rows: Vec::new(),
+            limit: limit.min(u32::MAX as usize - 1),
+        }
+    }
+
+    fn run(&mut self) -> Result<(), ()> {
+        match self.kind {
+            MapspaceKind::Pfm => self.perfect(0, 1),
+            MapspaceKind::Ruby | MapspaceKind::RubyT => self.free(0, 1),
+            MapspaceKind::RubyS => self.ruby_s_spatial(0, 1),
+        }
+    }
+
+    /// Appends the current chain, its outermost entry stretched to the
+    /// bound the way [`ruby_mapping::MappingBuilder`] does.
+    fn emit(&mut self) -> Result<(), ()> {
+        let stride = self.chain.len();
+        self.chain[stride - 1] = self.bound;
+        if self.rows.len() == self.rows.capacity() {
+            // Grow geometrically, but never past `limit + 1` rows.
+            let rows = self.rows.len() / stride;
+            let target = (rows.max(64) * 2).min(self.limit + 1).max(rows + 1);
+            self.rows.reserve_exact((target - rows) * stride);
+        }
+        self.rows.extend_from_slice(&self.chain);
+        if self.rows.len() / stride > self.limit {
+            self.compact()?;
+        }
+        Ok(())
+    }
+
+    /// Drops duplicate rows in place, keeping each chain's first row in
+    /// generation order.
+    fn compact(&mut self) -> Result<(), ()> {
+        let stride = self.chain.len();
+        let unique = sorted_unique(&self.rows, stride);
+        if unique.len() > self.limit {
+            return Err(());
+        }
+        let mut kept = unique;
+        kept.sort_unstable();
+        // Ascending rows: each moves down or stays, never over a row
+        // still to be read.
+        for (to, &from) in kept.iter().enumerate() {
+            let from = from as usize * stride;
+            self.rows.copy_within(from..from + stride, to * stride);
+        }
+        self.rows.truncate(kept.len() * stride);
+        Ok(())
+    }
+
+    /// Sets the tile after `slot` to `cum · f` (clamped to the bound)
+    /// and returns it.
+    fn advance(&mut self, slot: usize, cum: u64, f: u64) -> u64 {
+        let next = cum.saturating_mul(f).min(self.bound);
+        self.chain[slot + 1] = next;
+        next
+    }
+
+    /// PFM: every slot takes a divisor of what the bound has left,
+    /// within its cap, and the outermost slot takes the rest.
+    fn perfect(&mut self, slot: usize, cum: u64) -> Result<(), ()> {
+        let left = self.bound / cum;
+        let cap = self.rules[slot].cap.unwrap_or(u64::MAX);
+        if slot + 1 == self.rules.len() {
+            return if left <= cap { self.emit() } else { Ok(()) };
+        }
+        for i in 0..self.divs.len() {
+            let f = self.divs[i];
+            if f > left.min(cap) {
+                break;
+            }
+            if left.is_multiple_of(f) {
+                let next = self.advance(slot, cum, f);
+                self.perfect(slot + 1, next)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ruby / Ruby-T: walk slots innermost-first. Spatial factors range
+    /// over `[1, min(cap, ceil(bound/cum))]` (Ruby) or the divisors of
+    /// the bound within that cap (Ruby-T); temporal factors over
+    /// `[1, ceil(bound/cum)]`. The outermost slot is skipped: its chain
+    /// entry is stretched to the bound regardless of the factor drawn
+    /// there, so all its choices alias.
+    fn free(&mut self, slot: usize, cum: u64) -> Result<(), ()> {
+        if slot + 1 == self.rules.len() {
+            return self.emit();
+        }
+        let rule = self.rules[slot];
+        let needed = self.bound.div_ceil(cum);
+        let cap = if rule.spatial {
+            rule.cap.unwrap_or(u64::MAX).min(needed)
+        } else {
+            needed
+        };
+        if rule.spatial && self.kind == MapspaceKind::RubyT {
+            for i in 0..self.divs.len() {
+                let f = self.divs[i];
+                if f > cap {
+                    break;
+                }
+                let next = self.advance(slot, cum, f);
+                self.free(slot + 1, next)?;
             }
         } else {
-            for &f in divs.iter().filter(|&&f| f <= cap) {
-                step(f, factors, out)?;
+            for f in 1..=cap {
+                let next = self.advance(slot, cum, f);
+                self.free(slot + 1, next)?;
             }
         }
-    } else {
-        for f in 1..=needed {
-            step(f, factors, out)?;
-        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Ruby-S: choose spatial factors (each in `[1, min(cap,
-/// ceil(bound/Πs))]`, the sampler's range over the spatial-only
-/// product), then perfectly factorize the residual `ceil(bound/Πs)`
-/// across the temporal slots and interleave in slot order.
-#[allow(clippy::too_many_arguments)]
-fn recurse_ruby_s(
-    bound: u64,
-    rules: &[SlotRule],
-    spatial_positions: &[usize],
-    num_temporal: usize,
-    spatial_product: u64,
-    spatial: &mut Vec<u64>,
-    out: &mut BTreeSet<Vec<u64>>,
-    limit: usize,
-) -> Result<(), ()> {
-    if spatial.len() == spatial_positions.len() {
-        let residual = bound.div_ceil(spatial_product);
-        let temporal_caps = vec![None; num_temporal];
-        for temporal in enumerate_capped_factorizations(residual, &temporal_caps) {
-            let mut t = temporal.into_iter();
-            let mut s = spatial.iter().copied();
-            let factors: Vec<u64> = rules
-                .iter()
-                .map(|r| {
-                    // lint: allow(panics) — both iterators were built
-                    // with exactly one factor per slot of their kind.
-                    if r.spatial {
-                        s.next().expect("one factor per spatial slot")
-                    } else {
-                        t.next().expect("one factor per temporal slot")
-                    }
-                })
-                .collect();
-            insert_chain(out, bound, &factors, limit)?;
+    /// Ruby-S, first half: choose the spatial factors, each in
+    /// `[1, min(cap, ceil(bound/Πs))]` — the sampler's range over the
+    /// spatial-only product `Πs` so far.
+    fn ruby_s_spatial(&mut self, j: usize, product: u64) -> Result<(), ()> {
+        if j == self.spatial_at.len() {
+            let residual = self.bound.div_ceil(product);
+            if self.divs_of != residual {
+                self.divs = factor::divisors(residual);
+                self.divs_of = residual;
+            }
+            return self.ruby_s_temporal(0, 1, residual, 0);
         }
-        return Ok(());
+        let rule = self.rules[self.spatial_at[j]];
+        let cap = rule
+            .cap
+            .unwrap_or(u64::MAX)
+            .min(self.bound.div_ceil(product));
+        for f in 1..=cap {
+            self.spatial[j] = f;
+            self.ruby_s_spatial(j + 1, product.saturating_mul(f))?;
+        }
+        Ok(())
     }
-    let rule = &rules[spatial_positions[spatial.len()]];
-    let needed = bound.div_ceil(spatial_product);
-    let cap = rule.cap.unwrap_or(u64::MAX).min(needed);
-    for f in 1..=cap {
-        spatial.push(f);
-        let r = recurse_ruby_s(
-            bound,
-            rules,
-            spatial_positions,
-            num_temporal,
-            spatial_product.saturating_mul(f),
-            spatial,
-            out,
-            limit,
-        );
-        spatial.pop();
-        r?;
+
+    /// Ruby-S, second half: factorize the residual `ceil(bound/Πs)`
+    /// perfectly across the temporal slots (`left` is what is still
+    /// unassigned), interleaved in slot order with the spatial factors
+    /// (`j` is the next one).
+    fn ruby_s_temporal(&mut self, slot: usize, cum: u64, left: u64, j: usize) -> Result<(), ()> {
+        if slot == self.rules.len() {
+            return if left == 1 { self.emit() } else { Ok(()) };
+        }
+        if self.rules[slot].spatial {
+            let next = self.advance(slot, cum, self.spatial[j]);
+            return self.ruby_s_temporal(slot + 1, next, left, j + 1);
+        }
+        for i in 0..self.divs.len() {
+            let f = self.divs[i];
+            if f > left {
+                break;
+            }
+            if left.is_multiple_of(f) {
+                let next = self.advance(slot, cum, f);
+                self.ruby_s_temporal(slot + 1, next, left / f, j)?;
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Depth-first search over one signature group per dimension, keeping
 /// per-spatial-slot remaining capacity (sequential floor division — the
 /// same arithmetic as the sampler's shared [`crate::space`] axis states)
-/// and exclusivity ownership.
+/// and exclusivity ownership. Row `d` of `remaining` / `taken` is the
+/// state after dimensions `0..d` chose their groups, so descending
+/// writes the next row and nothing is ever undone; the leaf count and
+/// cycle floor are carried down the same way.
+struct RegionSearch<'a> {
+    tables: [&'a DimTable; 7],
+    exclusive: bool,
+    /// Signature positions whose axis extent exceeds 1 (one per row
+    /// column); counts elsewhere are all 1 and never clash.
+    live: Vec<usize>,
+    remaining: Vec<u64>,
+    taken: Vec<bool>,
+    group: [u32; 7],
+    regions: Vec<Region>,
+    max_regions: usize,
+}
+
+impl RegionSearch<'_> {
+    fn dfs(&mut self, depth: usize, leaves: u64, min_steps: u64) -> Result<(), EnumError> {
+        if depth == 7 {
+            self.regions.push(Region {
+                group: self.group,
+                leaves,
+                min_steps,
+            });
+            if self.regions.len() > self.max_regions {
+                return Err(EnumError::TooManyRegions {
+                    limit: self.max_regions,
+                });
+            }
+            return Ok(());
+        }
+        let table = self.tables[depth];
+        let w = self.live.len();
+        let mut g = 0;
+        while g < table.num_groups() {
+            let counts = table.counts(g);
+            let (remaining, next_remaining) =
+                self.remaining[depth * w..(depth + 2) * w].split_at_mut(w);
+            let (taken, next_taken) = self.taken[depth * w..(depth + 2) * w].split_at_mut(w);
+            let exclusive = self.exclusive;
+            let clash = self.live.iter().enumerate().find(|&(k, &j)| {
+                let c = counts[j];
+                c > 1 && ((exclusive && taken[k]) || c > remaining[k])
+            });
+            if let Some((_, &j)) = clash {
+                // Groups are sorted by signature, so every later group
+                // sharing `counts[..j]` has a count at least as large at
+                // `j` and clashes there too.
+                g = table.skips[g * table.width + j] as usize;
+                continue;
+            }
+            for (k, &j) in self.live.iter().enumerate() {
+                let c = counts[j];
+                next_remaining[k] = if c > 1 {
+                    remaining[k] / c
+                } else {
+                    remaining[k]
+                };
+                next_taken[k] = taken[k] || c > 1;
+            }
+            self.group[depth] = g as u32;
+            let entries = table.entries(g).len() as u64;
+            self.dfs(
+                depth + 1,
+                leaves.saturating_mul(entries),
+                min_steps.saturating_mul(table.min_steps(g)),
+            )?;
+            g += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Every fanout-feasible region, sorted by `(min_steps, group tuple)`.
 fn build_regions(
     space: &Mapspace,
     layout: &SlotLayout,
     spatial_slots: &[usize],
     tables: &[DimTable],
-    limits: &EnumLimits,
+    table_of: &[usize; 7],
+    max_regions: usize,
 ) -> Result<Vec<Region>, EnumError> {
-    use ruby_mapping::SlotKind;
-    let exclusive = space.constraints().exclusive_spatial();
-    let mut remaining: Vec<u64> = spatial_slots
+    let extents: Vec<u64> = spatial_slots
         .iter()
         .map(|&s| {
-            let slot = ruby_mapping::SlotId::new(s);
+            let slot = SlotId::new(s);
             let fanout = space.arch().levels()[layout.level_of(slot)].fanout();
-            match layout.kind_of(slot) {
-                SlotKind::SpatialX => fanout.x(),
-                SlotKind::SpatialY => fanout.y(),
-                // lint: allow(panics) — this closure is only applied to
-                // the spatial slots of the layout.
-                SlotKind::Temporal => unreachable!("spatial slots only"),
+            if layout.kind_of(slot) == SlotKind::SpatialX {
+                fanout.x()
+            } else {
+                fanout.y()
             }
         })
         .collect();
-    let mut taken = vec![false; spatial_slots.len()];
-    let mut group = [0usize; 7];
-    let mut regions = Vec::new();
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        tables: &[DimTable],
-        exclusive: bool,
-        depth: usize,
-        remaining: &mut Vec<u64>,
-        taken: &mut Vec<bool>,
-        group: &mut [usize; 7],
-        regions: &mut Vec<Region>,
-        max_regions: usize,
-    ) -> Result<(), EnumError> {
-        if depth == 7 {
-            let leaves = group
-                .iter()
-                .enumerate()
-                .map(|(di, &g)| tables[di].groups[g].entries.len() as u64)
-                .fold(1u64, u64::saturating_mul);
-            let min_steps = group
-                .iter()
-                .enumerate()
-                .map(|(di, &g)| tables[di].groups[g].min_steps)
-                .fold(1u64, u64::saturating_mul);
-            regions.push(Region {
-                group: *group,
-                leaves,
-                min_steps,
-            });
-            if regions.len() > max_regions {
-                return Err(EnumError::TooManyRegions { limit: max_regions });
-            }
-            return Ok(());
-        }
-        'groups: for (gi, g) in tables[depth].groups.iter().enumerate() {
-            for (j, &c) in g.counts.iter().enumerate() {
-                if c > 1 && ((exclusive && taken[j]) || c > remaining[j]) {
-                    continue 'groups;
-                }
-            }
-            let mut changed = Vec::new();
-            for (j, &c) in g.counts.iter().enumerate() {
-                if c > 1 {
-                    changed.push((j, remaining[j], taken[j]));
-                    remaining[j] /= c;
-                    taken[j] = true;
-                }
-            }
-            group[depth] = gi;
-            let r = dfs(
-                tables,
-                exclusive,
-                depth + 1,
-                remaining,
-                taken,
-                group,
-                regions,
-                max_regions,
-            );
-            for (j, rem, tk) in changed.into_iter().rev() {
-                remaining[j] = rem;
-                taken[j] = tk;
-            }
-            r?;
-        }
-        Ok(())
+    let live: Vec<usize> = (0..extents.len()).filter(|&j| extents[j] > 1).collect();
+    let width = live.len();
+    let mut remaining = vec![0u64; 8 * width];
+    for (cap, &j) in remaining.iter_mut().zip(&live) {
+        *cap = extents[j];
     }
-
-    dfs(
-        tables,
-        exclusive,
-        0,
-        &mut remaining,
-        &mut taken,
-        &mut group,
-        &mut regions,
-        limits.max_regions,
-    )?;
-    regions.sort_by_key(|a| (a.min_steps, a.group));
-    Ok(regions)
+    let mut search = RegionSearch {
+        tables: std::array::from_fn(|di| &tables[table_of[di]]),
+        exclusive: space.constraints().exclusive_spatial(),
+        live,
+        remaining,
+        taken: vec![false; 8 * width],
+        group: [0; 7],
+        regions: Vec::new(),
+        max_regions,
+    };
+    search.dfs(0, 1, 1)?;
+    let regions = search.regions;
+    // The search emits regions in lexicographic group-tuple order, so a
+    // region's emission index ranks its group tuple and the packed
+    // `(min_steps, index)` key sorts exactly by `(min_steps, group)`.
+    let mut keys: Vec<u128> = regions
+        .iter()
+        .enumerate()
+        .map(|(i, r)| u128::from(r.min_steps) << 64 | i as u128)
+        .collect();
+    keys.sort_unstable();
+    Ok(keys
+        .into_iter()
+        .map(|key| regions[key as u64 as usize].clone())
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use ruby_arch::presets;
     use ruby_workload::ProblemShape;
 
@@ -725,6 +962,85 @@ mod tests {
                 assert_eq!(steps, mapping.compute_cycles());
             }
         }
+    }
+
+    /// Distinct chains in `dim`'s table.
+    fn entries_of(tables: &EnumTables, dim: Dim) -> usize {
+        tables.groups(dim).map(|g| g.entries().len()).sum()
+    }
+
+    #[test]
+    fn entry_limit_admits_exactly_the_distinct_chain_count() {
+        let space = toy(MapspaceKind::Ruby, 4, 100);
+        let full = EnumTables::build(&space, &EnumLimits::default()).unwrap();
+        let exact = entries_of(&full, Dim::M);
+        let limits = |max_entries_per_dim| EnumLimits {
+            max_entries_per_dim,
+            ..EnumLimits::default()
+        };
+        let at = EnumTables::build(&space, &limits(exact)).unwrap();
+        assert_eq!(entries_of(&at, Dim::M), exact);
+        assert_eq!(at.regions().len(), full.regions().len());
+        assert_eq!(
+            EnumTables::build(&space, &limits(exact - 1)).err(),
+            Some(EnumError::DimTooLarge {
+                dim: Dim::M,
+                limit: exact - 1
+            })
+        );
+    }
+
+    #[test]
+    fn region_limit_admits_exactly_the_region_count() {
+        let space = Mapspace::new(
+            presets::toy_linear(9, 1024),
+            ProblemShape::gemm("g", 12, 10, 7),
+            MapspaceKind::RubyS,
+        );
+        let full = EnumTables::build(&space, &EnumLimits::default()).unwrap();
+        let exact = full.regions().len();
+        assert!(exact > 1);
+        let limits = |max_regions| EnumLimits {
+            max_regions,
+            ..EnumLimits::default()
+        };
+        let at = EnumTables::build(&space, &limits(exact)).unwrap();
+        assert_eq!(at.regions().len(), exact);
+        assert_eq!(
+            EnumTables::build(&space, &limits(exact - 1)).err(),
+            Some(EnumError::TooManyRegions { limit: exact - 1 })
+        );
+    }
+
+    #[test]
+    fn duplicate_chains_never_count_toward_the_entry_limit() {
+        // Ruby-S on 4 PEs with M = 9: spatial factors 3 and 4 both leave
+        // a temporal residual of 3 and clamp to the same chain.
+        let space = toy(MapspaceKind::RubyS, 4, 9);
+        let rules = space.slot_rules_full(Dim::M);
+        let mut walk = ChainWalk::new(MapspaceKind::RubyS, 9, &rules, usize::MAX);
+        walk.run().unwrap();
+        let stride = walk.chain.len();
+        let generated = walk.rows.len() / stride;
+        let distinct = sorted_unique(&walk.rows, stride).len();
+        assert!(
+            generated > distinct,
+            "{generated} rows, {distinct} distinct"
+        );
+
+        let limits = |max_entries_per_dim| EnumLimits {
+            max_entries_per_dim,
+            ..EnumLimits::default()
+        };
+        let at = EnumTables::build(&space, &limits(distinct)).unwrap();
+        assert_eq!(entries_of(&at, Dim::M), distinct);
+        assert_eq!(
+            EnumTables::build(&space, &limits(distinct - 1)).err(),
+            Some(EnumError::DimTooLarge {
+                dim: Dim::M,
+                limit: distinct - 1
+            })
+        );
     }
 
     #[test]

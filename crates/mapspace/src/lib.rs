@@ -42,6 +42,6 @@ pub mod permute;
 pub mod space;
 
 pub use constraints::{Constraints, DimSet};
-pub use enumerate::{EnumError, EnumLimits, EnumTables, Region, SubspaceIterator};
+pub use enumerate::{EnumError, EnumLimits, EnumTables, GroupView, Region, SubspaceIterator};
 pub use permute::{FeistelPermutation, PermutedIterator};
 pub use space::{Mapspace, MapspaceKind, Sampler};
