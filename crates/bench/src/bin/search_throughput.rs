@@ -45,14 +45,6 @@ fn main() {
 fn smoke() {
     let report = throughput::run(300, 1, &[1]);
     print!("{}", throughput::render(&report));
-    println!(
-        "telemetry counters: {}",
-        if report.telemetry {
-            "on"
-        } else {
-            "off (no-op)"
-        }
-    );
     for p in &report.points {
         if p.valid == 0 {
             eprintln!(
@@ -82,8 +74,10 @@ fn smoke() {
 /// than the validity smoke so timer noise and cold caches don't trip
 /// the gate: `random` at 2,000 candidates, `random-cold` at the
 /// baseline's own budget (tabulation is a fixed cost per run, so its
-/// samples/sec depends on the budget). Each row is skipped (loudly)
-/// when no comparable baseline is available.
+/// samples/sec depends on the budget). A baseline that does not parse
+/// or carries another schema fails the smoke: it has to be regenerated,
+/// not silently stop guarding. A missing file or row is skipped
+/// (loudly).
 fn throughput_floor() {
     let path = "BENCH_search.json";
     let Ok(json) = std::fs::read_to_string(path) else {
@@ -93,21 +87,18 @@ fn throughput_floor() {
     let baseline: throughput::ThroughputReport = match serde_json::from_str(&json) {
         Ok(report) => report,
         Err(err) => {
-            eprintln!("throughput floor: unreadable {path} ({err}), skipping");
-            return;
+            eprintln!("smoke failure: unreadable {path} ({err}); regenerate it");
+            std::process::exit(1);
         }
     };
     if baseline.schema != ruby_telemetry::SCHEMA_VERSION {
-        println!(
-            "throughput floor: {path} has schema {} (current {}), skipping",
+        eprintln!(
+            "smoke failure: {path} has schema {} (current {}); regenerate it \
+             with `search_throughput --medium`",
             baseline.schema,
             ruby_telemetry::SCHEMA_VERSION
         );
-        return;
-    }
-    if baseline.telemetry != ruby_telemetry::enabled() {
-        println!("throughput floor: instrumentation modes differ, skipping");
-        return;
+        std::process::exit(1);
     }
     let warm = throughput::space();
     for row in throughput::ROWS

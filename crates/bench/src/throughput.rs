@@ -85,10 +85,6 @@ pub struct ThroughputReport {
     /// Report schema version ([`SCHEMA_VERSION`], shared with the CLI
     /// `--json` document and the telemetry JSONL stream).
     pub schema: u64,
-    /// Whether the binary was built with the `telemetry` feature (its
-    /// counters add a small cost, so baselines must not be compared
-    /// across instrumentation modes).
-    pub telemetry: bool,
     /// Architecture preset measured.
     pub arch: String,
     /// Workload layer measured.
@@ -108,7 +104,6 @@ pub struct ThroughputReport {
 
 serde::impl_serde_struct!(ThroughputReport {
     schema,
-    telemetry,
     arch,
     workload,
     mapspace,
@@ -199,7 +194,6 @@ pub fn run(max_evaluations: u64, repeats: u64, thread_counts: &[usize]) -> Throu
     }
     ThroughputReport {
         schema: SCHEMA_VERSION,
-        telemetry: ruby_telemetry::enabled(),
         arch: "eyeriss:14x12".to_owned(),
         workload: layer().name().to_owned(),
         mapspace: MapspaceKind::RubyS.name().to_owned(),
@@ -402,11 +396,9 @@ mod tests {
     fn report_round_trips_through_json() {
         let report = run(50, 1, &[1]);
         assert_eq!(report.schema, SCHEMA_VERSION);
-        assert_eq!(report.telemetry, ruby_telemetry::enabled());
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: ThroughputReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.schema, report.schema);
-        assert_eq!(back.telemetry, report.telemetry);
         assert_eq!(back.points.len(), report.points.len());
         assert_eq!(back.points[0].strategy, report.points[0].strategy);
         assert_eq!(back.points[0].evaluations, report.points[0].evaluations);

@@ -113,8 +113,8 @@ fn report_block(report: &CostReport) -> String {
 /// (schema-versioned, same document the bench tools emit), `--out`
 /// writes the best mapping for `ruby evaluate`/`analyze`/`simulate`,
 /// `--progress` streams a live progress line to stderr, and
-/// `--metrics-out <path>` appends snapshot/summary JSONL records (plus
-/// a metrics dump in `telemetry`-feature builds).
+/// `--metrics-out <path>` appends snapshot, summary and metrics-dump
+/// JSONL records.
 pub fn search(args: &[String]) -> Result<String, CliError> {
     let mut bools = vec!["eyeriss-constraints", "resume"];
     bools.extend(OutputOpts::BOOLS);
@@ -575,6 +575,15 @@ mod tests {
             streamed.best.map(|b| b.cost.to_bits()),
             outcome.best.map(|b| b.cost.to_bits())
         );
+        let metrics = lines
+            .iter()
+            .find(|v| v.get("event") == Some(&serde::Value::Str("metrics".to_owned())))
+            .expect("stream has a metrics event");
+        let runs = match metrics.get("search.permuted.runs") {
+            Some(serde::Value::U64(n)) => *n,
+            other => panic!("search.permuted.runs missing: {other:?}"),
+        };
+        assert!(runs >= 1, "the random search ran the permuted walk");
     }
 
     #[test]

@@ -1233,9 +1233,9 @@ fn c() {}
     #[test]
     fn cfg_feature_regions_and_not() {
         let src = "\
-#[cfg(feature = \"telemetry\")]
+#[cfg(feature = \"failpoints\")]
 pub fn emit() {}
-#[cfg(not(feature = \"telemetry\"))]
+#[cfg(not(feature = \"failpoints\"))]
 pub fn emit() {}
 #[cfg(any(test, feature = \"shuttle\"))]
 mod sync { pub use shim::{AtomicBool, AtomicU64}; }
@@ -1252,8 +1252,8 @@ mod sync { pub use shim::{AtomicBool, AtomicU64}; }
                 )
             })
             .collect();
-        assert_eq!(feats[0], (false, vec!["telemetry".to_owned()], vec![]));
-        assert_eq!(feats[1], (false, vec![], vec!["telemetry".to_owned()]));
+        assert_eq!(feats[0], (false, vec!["failpoints".to_owned()], vec![]));
+        assert_eq!(feats[1], (false, vec![], vec!["failpoints".to_owned()]));
         assert_eq!(feats[2], (true, vec!["shuttle".to_owned()], vec![]));
         assert_eq!(f.shim_bindings.len(), 2);
         assert!(f

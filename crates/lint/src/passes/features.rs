@@ -5,8 +5,8 @@
 //! `#[cfg(not(feature = "F"))]` stub twin — that is referenced outside
 //! an `F`-gated region compiles in the feature build and breaks every
 //! other point of the feature matrix. Features are matched by name
-//! across crates, mirroring how `ruby-search`'s `telemetry` /
-//! `failpoints` features forward to the same-named downstream features.
+//! across crates, mirroring how `ruby-search`'s `failpoints` feature
+//! forwards to the same-named downstream features.
 //!
 //! **Shim coverage** ([`LintCode::ShimCoverageGap`]): a crate whose
 //! `sync` module can bind the interleave shim outside plain

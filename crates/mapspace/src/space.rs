@@ -5,7 +5,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use ruby_arch::Architecture;
 use ruby_mapping::{Mapping, MappingBuilder, SlotKind};
-use ruby_telemetry::LazyCounter;
 use ruby_workload::{Dim, ProblemShape};
 
 use std::sync::OnceLock;
@@ -13,9 +12,6 @@ use std::sync::OnceLock;
 use crate::constraints::Constraints;
 use crate::enumerate::{EnumLimits, EnumTables};
 use crate::factor;
-
-/// Sampler draw counter; a no-op unless the `telemetry` feature is on.
-static SAMPLES: LazyCounter = LazyCounter::new("mapspace.samples");
 
 /// Which factorization rules the mapspace admits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -506,7 +502,6 @@ impl Sampler<'_> {
     /// sampler's allocations. Produces the same mapping (and consumes the
     /// same RNG stream) as [`Mapspace::sample`].
     pub fn sample_into<R: Rng + ?Sized>(&mut self, out: &mut Mapping, rng: &mut R) {
-        SAMPLES.inc();
         let space = self.space;
         let num_levels = space.arch.num_levels();
         self.builder.reset();

@@ -22,10 +22,7 @@ use ruby_mapping::Mapping;
 use ruby_telemetry::LazyCounter;
 use ruby_workload::Operand;
 
-use crate::context::{
-    evaluate_unchecked, summarize_unchecked, EvalContext, EVAL_VALID, REJECT_CAPACITY,
-    REJECT_FANOUT,
-};
+use crate::context::{evaluate_unchecked, summarize_unchecked, EvalContext};
 use crate::report::{CostReport, CostSummary};
 use crate::validity::InvalidMapping;
 
@@ -33,11 +30,10 @@ use crate::validity::InvalidMapping;
 /// cache lines per level while giving the vectorizer full-width lanes.
 pub const BATCH: usize = 64;
 
-/// Batch-shape instrumentation: how full the batches run and which
-/// ladder stage kills how much. No-ops unless the `telemetry` cargo
-/// feature is on.
+/// Batch-shape instrumentation, bumped once per chunk: how many
+/// batches ran and which ladder stage kills how many lanes (the lane
+/// total is the sum of the three lane counters).
 static BATCH_CHUNKS: LazyCounter = LazyCounter::new("model.batch.chunks");
-static BATCH_LANES: LazyCounter = LazyCounter::new("model.batch.lanes");
 static BATCH_KILL_FANOUT: LazyCounter = LazyCounter::new("model.batch.kill.fanout");
 static BATCH_KILL_CAPACITY: LazyCounter = LazyCounter::new("model.batch.kill.capacity");
 static BATCH_SURVIVORS: LazyCounter = LazyCounter::new("model.batch.survivors");
@@ -315,13 +311,9 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
             };
         }
         BATCH_CHUNKS.inc();
-        BATCH_LANES.add(killed_fanout + killed_capacity + survivors);
         BATCH_KILL_FANOUT.add(killed_fanout);
         BATCH_KILL_CAPACITY.add(killed_capacity);
         BATCH_SURVIVORS.add(survivors);
-        REJECT_FANOUT.add(killed_fanout);
-        REJECT_CAPACITY.add(killed_capacity);
-        EVAL_VALID.add(survivors);
         &self.verdicts[..n]
     }
 

@@ -17,21 +17,11 @@
 
 use ruby_arch::Architecture;
 use ruby_mapping::Mapping;
-use ruby_telemetry::LazyCounter;
 use ruby_workload::{Operand, ProblemShape, TensorDef};
 
 use crate::report::{AccessCounts, CostReport, CostSummary, LevelStats};
 use crate::validity::InvalidMapping;
 use crate::{access, bound, latency, validity, ModelOptions};
-
-/// Rejection-stage instrumentation for [`evaluate_with`]: which validity
-/// wall each candidate hits, and how many survive to full costing. The
-/// batched evaluator ([`crate::BatchEvalContext`]) feeds the same
-/// counters, so scalar and batched runs report comparable telemetry.
-/// No-ops unless the `telemetry` cargo feature is on.
-pub(crate) static REJECT_FANOUT: LazyCounter = LazyCounter::new("model.reject.fanout");
-pub(crate) static REJECT_CAPACITY: LazyCounter = LazyCounter::new("model.reject.capacity");
-pub(crate) static EVAL_VALID: LazyCounter = LazyCounter::new("model.eval.valid");
 
 /// Precomputed per-`(arch, shape)` evaluation state.
 ///
@@ -223,20 +213,17 @@ pub fn evaluate_with(ctx: &EvalContext, mapping: &Mapping) -> Result<CostReport,
         mapping.layout().num_levels(),
         "mapping was built for a different hierarchy depth"
     );
-    validity::check_fanout(ctx.arch, mapping).inspect_err(|_| REJECT_FANOUT.inc())?;
-    validity::check_capacity(ctx.arch, ctx.tensors(), mapping)
-        .inspect_err(|_| REJECT_CAPACITY.inc())?;
-    EVAL_VALID.inc();
+    validity::check_fanout(ctx.arch, mapping)?;
+    validity::check_capacity(ctx.arch, ctx.tensors(), mapping)?;
     Ok(evaluate_unchecked(ctx, mapping))
 }
 
 /// [`evaluate_with`] without the per-level breakdown: same validity
-/// screens, same counters, but the result carries only the scalar
-/// quantities ([`CostSummary`]) and performs no heap allocation for
-/// level names. Every field is bit-identical to what [`evaluate_with`]
-/// would report — both run [`cost_core`] — so a caller can search on
-/// summaries and materialize the full [`CostReport`] only for the
-/// mappings it keeps.
+/// screens, but the result carries only the scalar quantities
+/// ([`CostSummary`]) and performs no heap allocation for level names.
+/// Every field is bit-identical to what [`evaluate_with`] would report
+/// — both run [`cost_core`] — so a caller can search on summaries and
+/// materialize the full [`CostReport`] only for the mappings it keeps.
 ///
 /// # Errors
 ///
@@ -251,10 +238,8 @@ pub fn summarize_with(ctx: &EvalContext, mapping: &Mapping) -> Result<CostSummar
         mapping.layout().num_levels(),
         "mapping was built for a different hierarchy depth"
     );
-    validity::check_fanout(ctx.arch, mapping).inspect_err(|_| REJECT_FANOUT.inc())?;
-    validity::check_capacity(ctx.arch, ctx.tensors(), mapping)
-        .inspect_err(|_| REJECT_CAPACITY.inc())?;
-    EVAL_VALID.inc();
+    validity::check_fanout(ctx.arch, mapping)?;
+    validity::check_capacity(ctx.arch, ctx.tensors(), mapping)?;
     Ok(summarize_unchecked(ctx, mapping))
 }
 

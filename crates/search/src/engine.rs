@@ -411,9 +411,8 @@ impl<'s> Engine<'s> {
     }
 
     /// Streams progress snapshots to `sink` while the search runs; the
-    /// sink also receives the final summary (and, in
-    /// `telemetry`-feature builds, the metrics dump). At least one
-    /// snapshot is always emitted, however short the run.
+    /// sink also receives the final summary and the metrics dump. At
+    /// least one snapshot is always emitted, however short the run.
     pub fn with_progress(mut self, sink: Box<dyn ProgressSink>) -> Self {
         self.sink = Some(sink);
         self
@@ -906,14 +905,10 @@ fn snapshot_of_outcome(outcome: &SearchOutcome, elapsed: Duration) -> SearchSnap
     }
 }
 
-/// Sends the post-run records: the summary (always) and the metrics
-/// dump (only in `telemetry`-feature builds, where the registry is
-/// populated).
+/// Sends the post-run records: the summary, then the metrics dump.
 fn deliver_final(sink: &mut dyn ProgressSink, outcome: &SearchOutcome) {
     sink.finish(&serde::Serialize::to_value(outcome));
-    if ruby_telemetry::enabled() {
-        sink.metrics(&ruby_telemetry::registry().dump());
-    }
+    sink.metrics(&ruby_telemetry::registry().dump());
 }
 
 /// The streamed execution path: workers publish, a monitor thread
@@ -1193,9 +1188,7 @@ mod tests {
         assert_eq!(round_trip.evaluations, outcome.evaluations);
         assert_eq!(round_trip.valid, outcome.valid);
         assert_eq!(round_trip.duplicates, outcome.duplicates);
-        // Metrics arrive only in feature builds, where the registry has
-        // real counters behind it.
-        assert_eq!(sink.metrics_dump().is_some(), ruby_telemetry::enabled());
+        assert!(sink.metrics_dump().is_some(), "metrics follow the summary");
     }
 
     #[test]

@@ -53,8 +53,8 @@
 //!
 //! Attach a [`ProgressSink`] with [`Engine::with_progress`] to stream
 //! [`SearchSnapshot`] events while the search runs (see the `engine`
-//! module docs); metric counters (memo hit/miss, model rejection stages)
-//! additionally require the `telemetry` cargo feature.
+//! module docs); the sink also receives the summary and the metrics
+//! registry dump.
 
 pub mod anneal;
 pub mod checkpoint;

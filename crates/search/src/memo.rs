@@ -18,12 +18,8 @@ use crate::sync::{AtomicU64, Ordering};
 
 use ruby_telemetry::LazyCounter;
 
-/// Memo instrumentation: no-ops unless the `telemetry` feature is on.
-/// Hits and misses are the per-probe outcomes (a hit is exactly one
-/// [`SearchOutcome::duplicates`](crate::SearchOutcome) increment in the
-/// callers); drops count entries lost to a full probe window.
-static MEMO_HIT: LazyCounter = LazyCounter::new("search.memo.hit");
-static MEMO_MISS: LazyCounter = LazyCounter::new("search.memo.miss");
+/// Entries lost to a full probe window. Hits need no counter: each one
+/// is a [`SearchOutcome::duplicates`](crate::SearchOutcome) increment.
 static MEMO_DROP: LazyCounter = LazyCounter::new("search.memo.drop");
 
 const PROBE_WINDOW: usize = 8;
@@ -135,7 +131,6 @@ impl MemoCache {
             // `insert` so a key match happens-after the claim.
             let k = slot.key.load(Ordering::Acquire);
             if k == EMPTY {
-                MEMO_MISS.inc();
                 return None;
             }
             if k == key {
@@ -144,14 +139,11 @@ impl MemoCache {
                 // fully published cost, never a torn intermediate.
                 let c = slot.cost.load(Ordering::Acquire);
                 if c == NOT_READY {
-                    MEMO_MISS.inc();
                     return None;
                 }
-                MEMO_HIT.inc();
                 return Some(f64::from_bits(c));
             }
         }
-        MEMO_MISS.inc();
         None
     }
 

@@ -41,7 +41,7 @@ use crate::{
 };
 
 /// Permuted walks launched (the space tabulated) vs. rejected back to
-/// the rejection sampler. No-ops unless the `telemetry` feature is on.
+/// the rejection sampler, once per run.
 static WALK_RUNS: LazyCounter = LazyCounter::new("search.permuted.runs");
 static WALK_FALLBACKS: LazyCounter = LazyCounter::new("search.permuted.fallbacks");
 

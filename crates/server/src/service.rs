@@ -40,22 +40,16 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ruby_mapspace::{Constraints, Mapspace};
 use ruby_search::{Engine, Objective, SearchConfig, SearchStrategy, StopToken};
 use ruby_store::{MappingStore, ScrubReport, StoreRecord};
-use ruby_telemetry::{LazyCounter, ProgressSink, SearchSnapshot};
+use ruby_telemetry::{Counter, ProgressSink, SearchSnapshot};
 
 use crate::{MapQuery, MapResponse, ResponseSource, ServeError};
-
-static SHED: LazyCounter = LazyCounter::new("serve.shed");
-static DEGRADED: LazyCounter = LazyCounter::new("serve.degraded");
-static PARTIAL: LazyCounter = LazyCounter::new("serve.partial");
-static DEADLINE_EXPIRED: LazyCounter = LazyCounter::new("serve.deadline_expired");
-static BREAKER_OPEN: LazyCounter = LazyCounter::new("serve.breaker_open");
 
 /// How long a queued cold query sleeps between slot polls; also bounds
 /// how stale its stop/deadline checks can get.
@@ -187,14 +181,14 @@ pub struct MapperService {
     admission: Admission,
     breaker: Mutex<BreakerState>,
     scrub: ScrubReport,
-    queries: AtomicU64,
-    store_hits: AtomicU64,
-    cold_searches: AtomicU64,
-    shed: AtomicU64,
-    degraded: AtomicU64,
-    partial: AtomicU64,
-    deadline_expired: AtomicU64,
-    breaker_trips: AtomicU64,
+    queries: Counter,
+    store_hits: Counter,
+    cold_searches: Counter,
+    shed: Counter,
+    degraded: Counter,
+    partial: Counter,
+    deadline_expired: Counter,
+    breaker_trips: Counter,
 }
 
 impl MapperService {
@@ -234,14 +228,14 @@ impl MapperService {
                 open_until: None,
             }),
             scrub,
-            queries: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            cold_searches: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            partial: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
+            queries: Counter::new(),
+            store_hits: Counter::new(),
+            cold_searches: Counter::new(),
+            shed: Counter::new(),
+            degraded: Counter::new(),
+            partial: Counter::new(),
+            deadline_expired: Counter::new(),
+            breaker_trips: Counter::new(),
         })
     }
 
@@ -262,17 +256,15 @@ impl MapperService {
 
     /// Service counters so far.
     pub fn stats(&self) -> ServiceStats {
-        // ordering: Relaxed — independent monotonic counters, read for reporting only.
-        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ServiceStats {
-            queries: count(&self.queries),
-            store_hits: count(&self.store_hits),
-            cold_searches: count(&self.cold_searches),
-            shed: count(&self.shed),
-            degraded: count(&self.degraded),
-            partial: count(&self.partial),
-            deadline_expired: count(&self.deadline_expired),
-            breaker_trips: count(&self.breaker_trips),
+            queries: self.queries.get(),
+            store_hits: self.store_hits.get(),
+            cold_searches: self.cold_searches.get(),
+            shed: self.shed.get(),
+            degraded: self.degraded.get(),
+            partial: self.partial.get(),
+            deadline_expired: self.deadline_expired.get(),
+            breaker_trips: self.breaker_trips.get(),
         }
     }
 
@@ -325,15 +317,13 @@ impl MapperService {
     /// during shutdown.
     pub fn handle(&self, query: &MapQuery) -> Result<MapResponse, ServeError> {
         let start = Instant::now();
-        // ordering: Relaxed — independent monotonic counter.
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.queries.inc();
         let key = self.fingerprint(query, query.objective);
 
         {
             let store = self.lock_store()?;
             if let Some(record) = store.get(key) {
-                // ordering: Relaxed — independent monotonic counter.
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                self.store_hits.inc();
                 return Ok(respond(ResponseSource::Store, key, record.clone(), start));
             }
         }
@@ -421,7 +411,6 @@ impl MapperService {
             _ => {}
         }
         if let Some(retry_after_ms) = self.breaker_open_for() {
-            BREAKER_OPEN.inc();
             return Ok(self.fallback(query, key, start, retry_after_ms));
         }
         let client = query.client.as_deref();
@@ -437,8 +426,7 @@ impl MapperService {
             service: self,
             client,
         };
-        // ordering: Relaxed — independent monotonic counter.
-        self.cold_searches.fetch_add(1, Ordering::Relaxed);
+        self.cold_searches.inc();
         let result = self.cold_search(query, key, deadline);
         drop(slot);
         let (record, stop_reason) = result?;
@@ -457,13 +445,9 @@ impl MapperService {
         };
         match stop_reason {
             Some(reason) => {
-                // ordering: Relaxed — independent monotonic counter.
-                self.partial.fetch_add(1, Ordering::Relaxed);
-                PARTIAL.inc();
+                self.partial.inc();
                 if reason == "deadline" {
-                    // ordering: Relaxed — independent monotonic counter.
-                    self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    DEADLINE_EXPIRED.inc();
+                    self.deadline_expired.inc();
                 }
                 let mut response = respond(ResponseSource::Partial, key, record, start);
                 response.stop_reason = Some(reason);
@@ -547,9 +531,7 @@ impl MapperService {
         if let Some(response) = self.degraded_answer(query, start) {
             return response;
         }
-        // ordering: Relaxed — independent monotonic counter.
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        SHED.inc();
+        self.shed.inc();
         MapResponse {
             source: ResponseSource::Shed,
             key,
@@ -575,9 +557,7 @@ impl MapperService {
             }
             let alt_key = self.fingerprint(query, objective);
             if let Some(record) = store.get(alt_key) {
-                // ordering: Relaxed — independent monotonic counter.
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                DEGRADED.inc();
+                self.degraded.inc();
                 let mut response = respond(ResponseSource::Store, alt_key, record.clone(), start);
                 response.degraded = true;
                 return Some(response);
@@ -594,9 +574,7 @@ impl MapperService {
         _key: u64,
         start: Instant,
     ) -> Result<MapResponse, ServeError> {
-        // ordering: Relaxed — independent monotonic counter.
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        DEADLINE_EXPIRED.inc();
+        self.deadline_expired.inc();
         if let Some(response) = self.degraded_answer(query, start) {
             return Ok(response);
         }
@@ -627,8 +605,7 @@ impl MapperService {
             let was_open = state.open_until.is_some_and(|until| now < until);
             state.open_until = Some(now + Duration::from_millis(self.config.breaker_cooldown_ms));
             if !was_open {
-                // ordering: Relaxed — independent monotonic counter.
-                self.breaker_trips.fetch_add(1, Ordering::Relaxed);
+                self.breaker_trips.inc();
             }
         }
     }

@@ -32,11 +32,8 @@ use std::path::{Path, PathBuf};
 
 use ruby_mapping::Mapping;
 use ruby_model::CostReport;
-use ruby_telemetry::LazyCounter;
 
 pub use fingerprint::{config_key, store_key};
-
-static SCRUB_QUARANTINED: LazyCounter = LazyCounter::new("store.scrub.quarantined");
 
 /// On-disk schema version: frame headers and record payloads.
 pub const STORE_SCHEMA: u64 = 1;
@@ -264,7 +261,6 @@ impl MappingStore {
         };
         let mut valid_len = bytes.len() as u64;
         if !scrub.quarantined.is_empty() {
-            SCRUB_QUARANTINED.add(report.frames_quarantined);
             let mut sidecar = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)

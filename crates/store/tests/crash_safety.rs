@@ -9,10 +9,14 @@
 #![cfg(feature = "failpoints")]
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use ruby_arch::presets;
 use ruby_store::{store_key, MappingStore, StoreRecord};
 use ruby_workload::{Dim, ProblemShape};
+
+/// Failpoints are process-global: these tests take turns.
+static FAILPOINTS: Mutex<()> = Mutex::new(());
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ruby-store-crash-{name}"));
@@ -58,6 +62,7 @@ fn assert_no_tmp_litter(dir: &std::path::Path) {
 
 #[test]
 fn torn_append_loses_only_the_record_in_flight() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = test_dir("append");
     let path = dir.join("store.log");
     let mut store = MappingStore::open(&path).unwrap();
@@ -91,6 +96,7 @@ fn torn_append_loses_only_the_record_in_flight() {
 
 #[test]
 fn a_surviving_store_self_heals_the_torn_tail_before_its_next_append() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = test_dir("selfheal");
     let path = dir.join("store.log");
     let mut store = MappingStore::open(&path).unwrap();
@@ -114,6 +120,7 @@ fn a_surviving_store_self_heals_the_torn_tail_before_its_next_append() {
 
 #[test]
 fn torn_compaction_loses_nothing() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = test_dir("compact");
     let path = dir.join("store.log");
     let mut store = MappingStore::open(&path).unwrap();
@@ -140,6 +147,7 @@ fn torn_compaction_loses_nothing() {
 /// before the crash.
 #[test]
 fn keys_survive_a_crash_round_trip() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = test_dir("keys");
     let path = dir.join("store.log");
     let arch = presets::toy_linear(4, 4096);

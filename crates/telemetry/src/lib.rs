@@ -6,12 +6,9 @@
 //! engine computes on its hot path. This crate makes those dynamics
 //! first-class outputs without slowing that path down:
 //!
-//! * [`metrics`] — atomic [`Counter`]s, log2-bucketed [`Histogram`]s and
-//!   monotonic [`Gauge`]s behind `Lazy*` handles that register
-//!   themselves in the process-wide [`MetricsRegistry`] on first use.
-//!   With the `telemetry` cargo feature **off** (the default) every
-//!   handle method compiles to an empty `#[inline(always)]` body — the
-//!   instrumented crates carry zero runtime cost.
+//! * [`metrics`] — atomic [`Counter`]s behind [`LazyCounter`] handles
+//!   that register themselves in the process-wide [`MetricsRegistry`]
+//!   on first use. Always on; hot paths count per batch or per run.
 //! * [`snapshot`] — a seqlock-style [`SnapshotSlot`] through which
 //!   search workers publish a fixed-size [`SearchSnapshot`] (counters,
 //!   best cost, thread liveness) that a monitor thread reads without
@@ -21,8 +18,7 @@
 //! * [`sink`] — the [`ProgressSink`] trait plus three implementations:
 //!   [`HumanSink`] (ANSI progress line), [`JsonlSink`] (one JSON event
 //!   per line) and [`MemorySink`] (test capture). Sinks receive
-//!   snapshots, a final summary record and — when the feature is on —
-//!   a metrics dump.
+//!   snapshots, a final summary record and a metrics dump.
 //!
 //! Every record the JSONL sink emits carries `"schema"`:
 //! [`SCHEMA_VERSION`] and an `"event"` tag (`snapshot` / `summary` /
@@ -37,10 +33,7 @@ pub mod snapshot;
 mod interleave_tests;
 
 pub use artifact::{tmp_path, write_atomic};
-pub use metrics::{
-    registry, Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricsRegistry,
-    HISTOGRAM_BUCKETS,
-};
+pub use metrics::{registry, Counter, LazyCounter, MetricsRegistry};
 pub use sink::{HumanSink, JsonlSink, MemorySink, MultiSink, ProgressSink};
 pub use snapshot::{SearchSnapshot, SnapshotSlot};
 
@@ -53,12 +46,6 @@ pub use snapshot::{SearchSnapshot, SnapshotSlot};
 /// v3 pinned `BENCH_search.json` speedup/parallel_efficiency to the
 /// same strategy's measured single-thread point (previously the first
 /// point per strategy, whatever its thread count) and switched the
-/// random strategy to the duplicate-free permuted walk.
-pub const SCHEMA_VERSION: u64 = 3;
-
-/// Whether this build carries real metrics instrumentation (the
-/// `telemetry` cargo feature). When `false`, the `Lazy*` handles are
-/// no-ops and [`registry`] stays empty.
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
+/// random strategy to the duplicate-free permuted walk. v4 dropped
+/// `BENCH_search.json`'s `telemetry` field (metrics are always on).
+pub const SCHEMA_VERSION: u64 = 4;

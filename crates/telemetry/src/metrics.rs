@@ -1,14 +1,13 @@
-//! Lock-free metric primitives and the process-wide registry.
+//! Lock-free event counters and the process-wide registry.
 //!
-//! [`Counter`], [`Histogram`] and [`Gauge`] are plain atomic cells —
-//! always compiled, unit-tested, and usable directly. Instrumented
-//! crates, however, go through the `Lazy*` handles: a `static` handle
-//! names the metric (`static HITS: LazyCounter =
-//! LazyCounter::new("search.memo.hit");`) and its methods either
-//! resolve-and-record (feature `telemetry` on) or compile to empty
-//! inlined bodies (feature off). Resolution registers the metric in the
-//! global [`MetricsRegistry`] exactly once and caches the reference, so
-//! the steady-state cost of a live counter is one Relaxed `fetch_add`.
+//! A [`Counter`] is a plain atomic cell. Instrumented crates go through
+//! a [`LazyCounter`]: a `static` handle names the metric (`static DROPS:
+//! LazyCounter = LazyCounter::new("search.memo.drop");`) and its first
+//! update registers the counter in the global [`MetricsRegistry`] and
+//! caches the reference, so the steady-state cost of a count is one
+//! Relaxed `fetch_add`. Hot paths count per batch or per run, never per
+//! candidate: a process-wide cell bumped by every worker is a shared
+//! cache line.
 //!
 //! All cells use `Ordering::Relaxed`: metrics are statistics, never
 //! synchronization — no payload is published through them, and readers
@@ -18,11 +17,7 @@
 // statistics cell; only its arithmetic value matters and no other
 // memory is published through it, so no acquire/release edges needed.
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Number of histogram buckets: one for zero plus one per power of two
-/// up to `2^63`, so any `u64` lands in exactly one bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -60,246 +55,45 @@ impl Counter {
     }
 }
 
-/// A log2-bucketed histogram of `u64` samples.
+/// The process-wide counter table.
 ///
-/// Bucket 0 holds the value 0; bucket `i >= 1` holds values in
-/// `[2^(i-1), 2^i - 1]`. Recording is one index computation plus one
-/// Relaxed `fetch_add` — no floating point, no locks.
-#[derive(Debug)]
-pub struct Histogram {
-    // ordering: Relaxed — statistics cells (see module docs).
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        Histogram {
-            // ordering: Relaxed statistics cells (see module docs).
-            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    /// The bucket index `value` falls into.
-    #[inline]
-    pub fn bucket_index(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// The inclusive `[lo, hi]` value range of bucket `index`.
-    ///
-    /// Out-of-range indices clamp to the last bucket.
-    pub fn bucket_bounds(index: usize) -> (u64, u64) {
-        match index.min(HISTOGRAM_BUCKETS - 1) {
-            0 => (0, 0),
-            64 => (1u64 << 63, u64::MAX),
-            i => (1u64 << (i - 1), (1u64 << i) - 1),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        // ordering: Relaxed — statistics cell (see module docs).
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-bucket counts (a relaxed snapshot; concurrent recorders may
-    /// land between loads).
-    pub fn counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for (slot, bucket) in out.iter_mut().zip(&self.buckets) {
-            // ordering: Relaxed — statistics cell (see module docs).
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.counts().iter().sum()
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-/// A monotonic high-water mark.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    // ordering: Relaxed — statistics cell (see module docs).
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            // ordering: Relaxed statistics cell (see module docs).
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Raises the mark to `value` if it exceeds the current one.
-    #[inline]
-    pub fn record_max(&self, value: u64) {
-        // ordering: Relaxed — statistics cell (see module docs);
-        // fetch_max keeps the mark monotonic without a CAS loop.
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// The current high-water mark.
-    pub fn get(&self) -> u64 {
-        // ordering: Relaxed — statistics cell (see module docs).
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// One registered metric.
-#[derive(Debug, Clone, Copy)]
-enum Metric {
-    Counter(&'static Counter),
-    Histogram(&'static Histogram),
-    Gauge(&'static Gauge),
-}
-
-/// The process-wide metric table.
-///
-/// Registration happens once per metric (first touch of its `Lazy*`
-/// handle) under a mutex; the hot path never sees the lock because the
-/// handle caches the `&'static` cell. Metrics live for the process —
-/// they are `Box::leak`ed on registration, which is bounded by the
-/// number of distinct metric names in the codebase.
+/// Registration happens once per counter (first touch of its
+/// [`LazyCounter`]) under a mutex; the hot path never sees the lock
+/// because the handle caches the `&'static` cell. Counters live for the
+/// process — they are `Box::leak`ed on registration, which is bounded
+/// by the number of distinct metric names in the codebase.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    entries: Mutex<Vec<(&'static str, Metric)>>,
+    entries: Mutex<Vec<(&'static str, &'static Counter)>>,
 }
 
 impl MetricsRegistry {
-    fn with_entries<R>(&self, f: impl FnOnce(&mut Vec<(&'static str, Metric)>) -> R) -> R {
+    fn entries(&self) -> MutexGuard<'_, Vec<(&'static str, &'static Counter)>> {
         // Registration writes complete before unlock, so a poisoned
         // table is still consistent and safe to reuse.
-        f(&mut self.entries.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    fn resolve<T>(
-        &self,
-        name: &'static str,
-        existing: impl Fn(Metric) -> Option<&'static T>,
-        fresh: impl FnOnce() -> (&'static T, Metric),
-    ) -> &'static T {
-        self.with_entries(|entries| {
-            for (n, metric) in entries.iter() {
-                if *n == name {
-                    if let Some(cell) = existing(*metric) {
-                        return cell;
-                    }
-                }
-            }
-            let (cell, metric) = fresh();
-            entries.push((name, metric));
-            entries.sort_by_key(|(n, _)| *n);
-            cell
-        })
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The counter registered under `name`, creating it on first use.
-    /// If `name` is already taken by a different metric kind, a second
-    /// entry of the requested kind is registered alongside it.
     pub fn counter(&self, name: &'static str) -> &'static Counter {
-        self.resolve(
-            name,
-            |m| match m {
-                Metric::Counter(c) => Some(c),
-                _ => None,
-            },
-            || {
-                let cell = &*Box::leak(Box::new(Counter::new()));
-                (cell, Metric::Counter(cell))
-            },
-        )
+        let mut entries = self.entries();
+        if let Some(&(_, cell)) = entries.iter().find(|(n, _)| *n == name) {
+            return cell;
+        }
+        let cell = &*Box::leak(Box::new(Counter::new()));
+        entries.push((name, cell));
+        entries.sort_by_key(|(n, _)| *n);
+        cell
     }
 
-    /// The histogram registered under `name`, creating it on first use.
-    pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        self.resolve(
-            name,
-            |m| match m {
-                Metric::Histogram(h) => Some(h),
-                _ => None,
-            },
-            || {
-                let cell = &*Box::leak(Box::new(Histogram::new()));
-                (cell, Metric::Histogram(cell))
-            },
-        )
-    }
-
-    /// The gauge registered under `name`, creating it on first use.
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        self.resolve(
-            name,
-            |m| match m {
-                Metric::Gauge(g) => Some(g),
-                _ => None,
-            },
-            || {
-                let cell = &*Box::leak(Box::new(Gauge::new()));
-                (cell, Metric::Gauge(cell))
-            },
-        )
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.with_entries(|entries| entries.len())
-    }
-
-    /// Whether no metric has been registered (always true with the
-    /// `telemetry` feature off).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All metrics as one object, sorted by name: counters and gauges
-    /// as integers, histograms as `{count, buckets: [[lo, count], …]}`
-    /// with empty buckets omitted.
+    /// All counters as one object of integers, sorted by name.
     pub fn dump(&self) -> serde::Value {
-        self.with_entries(|entries| {
-            let fields = entries
+        serde::Value::Obj(
+            self.entries()
                 .iter()
-                .map(|(name, metric)| {
-                    let value = match metric {
-                        Metric::Counter(c) => serde::Value::U64(c.get()),
-                        Metric::Gauge(g) => serde::Value::U64(g.get()),
-                        Metric::Histogram(h) => {
-                            let counts = h.counts();
-                            let buckets: Vec<serde::Value> = counts
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &n)| n > 0)
-                                .map(|(i, &n)| {
-                                    let (lo, _) = Histogram::bucket_bounds(i);
-                                    serde::Value::Arr(vec![
-                                        serde::Value::U64(lo),
-                                        serde::Value::U64(n),
-                                    ])
-                                })
-                                .collect();
-                            serde::Value::Obj(vec![
-                                ("count".to_owned(), serde::Value::U64(counts.iter().sum())),
-                                ("buckets".to_owned(), serde::Value::Arr(buckets)),
-                            ])
-                        }
-                    };
-                    ((*name).to_owned(), value)
-                })
-                .collect();
-            serde::Value::Obj(fields)
-        })
+                .map(|(name, c)| ((*name).to_owned(), serde::Value::U64(c.get())))
+                .collect(),
+        )
     }
 }
 
@@ -309,22 +103,17 @@ pub fn registry() -> &'static MetricsRegistry {
     REGISTRY.get_or_init(MetricsRegistry::default)
 }
 
-/// A `const`-constructible handle to a named [`Counter`].
-///
-/// With the `telemetry` feature off this is a zero-cost shell: every
-/// method is an empty `#[inline(always)]` body and nothing is ever
-/// registered. With it on, the first call resolves the counter through
-/// [`registry`] and caches the reference.
+/// A `const`-constructible handle to a named [`Counter`] in
+/// [`registry`]: the first call resolves the counter and caches the
+/// reference.
 #[derive(Debug)]
 pub struct LazyCounter {
     name: &'static str,
-    #[cfg(feature = "telemetry")]
     cell: OnceLock<&'static Counter>,
 }
 
 impl LazyCounter {
     /// A handle for the metric called `name`.
-    #[cfg(feature = "telemetry")]
     pub const fn new(name: &'static str) -> Self {
         LazyCounter {
             name,
@@ -332,141 +121,26 @@ impl LazyCounter {
         }
     }
 
-    /// A handle for the metric called `name`.
-    #[cfg(not(feature = "telemetry"))]
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter { name }
-    }
-
-    /// The metric name this handle resolves.
-    pub const fn metric_name(&self) -> &'static str {
-        self.name
-    }
-
-    #[cfg(feature = "telemetry")]
     fn resolve(&self) -> &'static Counter {
         self.cell.get_or_init(|| registry().counter(self.name))
     }
 
-    /// Adds `n` events (no-op with the feature off).
-    #[cfg(feature = "telemetry")]
+    /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
         self.resolve().add(n);
     }
 
-    /// Adds `n` events (no-op with the feature off).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-
-    /// Adds one event (no-op with the feature off).
-    #[inline(always)]
+    /// Adds one event.
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// The current count (0 with the feature off).
-    #[cfg(feature = "telemetry")]
+    /// The current count.
     pub fn get(&self) -> u64 {
         self.resolve().get()
     }
-
-    /// The current count (0 with the feature off).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
-/// A `const`-constructible handle to a named [`Histogram`]; see
-/// [`LazyCounter`] for the feature-gating contract.
-#[derive(Debug)]
-pub struct LazyHistogram {
-    name: &'static str,
-    #[cfg(feature = "telemetry")]
-    cell: OnceLock<&'static Histogram>,
-}
-
-impl LazyHistogram {
-    /// A handle for the metric called `name`.
-    #[cfg(feature = "telemetry")]
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// A handle for the metric called `name`.
-    #[cfg(not(feature = "telemetry"))]
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram { name }
-    }
-
-    /// The metric name this handle resolves.
-    pub const fn metric_name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one sample (no-op with the feature off).
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.cell
-            .get_or_init(|| registry().histogram(self.name))
-            .record(value);
-    }
-
-    /// Records one sample (no-op with the feature off).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn record(&self, _value: u64) {}
-}
-
-/// A `const`-constructible handle to a named [`Gauge`]; see
-/// [`LazyCounter`] for the feature-gating contract.
-#[derive(Debug)]
-pub struct LazyGauge {
-    name: &'static str,
-    #[cfg(feature = "telemetry")]
-    cell: OnceLock<&'static Gauge>,
-}
-
-impl LazyGauge {
-    /// A handle for the metric called `name`.
-    #[cfg(feature = "telemetry")]
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// A handle for the metric called `name`.
-    #[cfg(not(feature = "telemetry"))]
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge { name }
-    }
-
-    /// The metric name this handle resolves.
-    pub const fn metric_name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Raises the high-water mark (no-op with the feature off).
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    pub fn record_max(&self, value: u64) {
-        self.cell
-            .get_or_init(|| registry().gauge(self.name))
-            .record_max(value);
-    }
-
-    /// Raises the high-water mark (no-op with the feature off).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn record_max(&self, _value: u64) {}
 }
 
 #[cfg(test)]
@@ -483,90 +157,36 @@ mod tests {
     }
 
     #[test]
-    fn gauge_is_monotonic() {
-        let g = Gauge::new();
-        g.record_max(7);
-        g.record_max(3);
-        assert_eq!(g.get(), 7);
-        g.record_max(100);
-        assert_eq!(g.get(), 100);
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries_are_exact() {
-        // The bucket contract: 0 → bucket 0; 2^(i-1)..=2^i-1 → bucket i.
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        for i in 1..64u32 {
-            let lo = 1u64 << (i - 1);
-            let hi = (1u64 << i) - 1;
-            assert_eq!(Histogram::bucket_index(lo), i as usize, "lo of {i}");
-            assert_eq!(Histogram::bucket_index(hi), i as usize, "hi of {i}");
-            assert_eq!(Histogram::bucket_bounds(i as usize), (lo, hi));
-        }
-        assert_eq!(Histogram::bucket_bounds(0), (0, 0));
-        assert_eq!(Histogram::bucket_bounds(64), (1 << 63, u64::MAX));
-        // Every boundary value falls inside its own bucket's bounds.
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
-            let (lo, hi) = Histogram::bucket_bounds(Histogram::bucket_index(v));
-            assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn histogram_records_into_the_right_buckets() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 5, 5, 1000] {
-            h.record(v);
-        }
-        let counts = h.counts();
-        assert_eq!(h.count(), 5);
-        assert_eq!(counts[0], 1); // the zero
-        assert_eq!(counts[1], 1); // 1
-        assert_eq!(counts[3], 2); // 5 twice: [4, 7]
-        assert_eq!(counts[10], 1); // 1000: [512, 1023]
-    }
-
-    #[test]
     fn registry_dedups_by_name_and_dumps_sorted() {
         let reg = MetricsRegistry::default();
         let a = reg.counter("z.late");
         let b = reg.counter("z.late");
         assert!(std::ptr::eq(a, b), "same name must resolve to one cell");
         a.add(3);
-        reg.gauge("a.early").record_max(9);
-        reg.histogram("m.hist").record(5);
+        reg.counter("a.early").add(9);
         let dump = reg.dump();
         let serde::Value::Obj(fields) = &dump else {
             panic!("dump must be an object");
         };
         let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["a.early", "m.hist", "z.late"]);
+        assert_eq!(names, ["a.early", "z.late"]);
         assert_eq!(dump.get("z.late"), Some(&serde::Value::U64(3)));
         assert_eq!(dump.get("a.early"), Some(&serde::Value::U64(9)));
-        let hist = dump.get("m.hist").expect("histogram present");
-        assert_eq!(hist.get("count"), Some(&serde::Value::U64(1)));
     }
 
     #[test]
     fn lazy_handles_match_the_feature_gate() {
         static PROBE: LazyCounter = LazyCounter::new("test.metrics.probe");
-        assert_eq!(PROBE.metric_name(), "test.metrics.probe");
         PROBE.add(2);
         PROBE.inc();
-        if crate::enabled() {
-            assert_eq!(PROBE.get(), 3);
-            assert!(!registry().is_empty());
-        } else {
-            assert_eq!(PROBE.get(), 0, "no-op build must record nothing");
-        }
-        static HIST: LazyHistogram = LazyHistogram::new("test.metrics.hist");
-        HIST.record(8);
-        static GAUGE: LazyGauge = LazyGauge::new("test.metrics.gauge");
-        GAUGE.record_max(5);
+        assert_eq!(PROBE.get(), 3);
+        assert!(std::ptr::eq(
+            registry().counter("test.metrics.probe"),
+            PROBE.resolve()
+        ));
+        assert_eq!(
+            registry().dump().get("test.metrics.probe"),
+            Some(&serde::Value::U64(3))
+        );
     }
 }

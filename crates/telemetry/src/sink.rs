@@ -21,8 +21,7 @@ static SINK_ERRORS: LazyCounter = LazyCounter::new("telemetry.sink.errors");
 /// Lifecycle: zero or more [`emit`](Self::emit) calls while the search
 /// runs (each strictly newer than the last), then exactly one
 /// [`finish`](Self::finish) with the serialized `SearchOutcome` summary
-/// record, then — only in `telemetry`-feature builds — one
-/// [`metrics`](Self::metrics) with the registry dump.
+/// record, then one [`metrics`](Self::metrics) with the registry dump.
 pub trait ProgressSink: Send {
     /// Handles one progress snapshot.
     fn emit(&mut self, snapshot: &SearchSnapshot);
@@ -119,7 +118,7 @@ impl ProgressSink for HumanSink {
 }
 
 /// One JSON record per line: `snapshot` events while running, then a
-/// `summary` event, then (feature builds) a `metrics` event.
+/// `summary` event, then a `metrics` event.
 ///
 /// File-backed sinks ([`create`](Self::create)) stream into a
 /// `<path>.tmp` sibling and rename it over the destination when the
@@ -348,6 +347,14 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that write through a [`JsonlSink`]: the
+    /// `telemetry.sink.write` failpoint is process-wide, so while one
+    /// test has it armed no other test may write a line.
+    fn jsonl_writers() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn snapshot(seq: u64) -> SearchSnapshot {
         SearchSnapshot {
             seq,
@@ -380,6 +387,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_emits_one_parsable_record_per_line() {
+        let _serial = jsonl_writers();
         let buf = SharedBuf::default();
         let mut sink = JsonlSink::new(Box::new(buf.clone()));
         sink.emit(&snapshot(1));
@@ -389,7 +397,7 @@ mod tests {
             serde::Value::U64(1),
         )]));
         sink.metrics(&serde::Value::Obj(vec![(
-            "search.memo.hit".to_owned(),
+            "search.memo.drop".to_owned(),
             serde::Value::U64(9),
         )]));
         let text = buf.contents();
@@ -413,6 +421,7 @@ mod tests {
 
     #[test]
     fn memory_and_multi_sinks_capture_everything() {
+        let _serial = jsonl_writers();
         let memory = MemorySink::new();
         let buf = SharedBuf::default();
         let mut multi = MultiSink::new();
@@ -437,6 +446,7 @@ mod tests {
 
     #[test]
     fn file_backed_jsonl_sink_commits_on_drop() {
+        let _serial = jsonl_writers();
         let mut path = std::env::temp_dir();
         path.push(format!("ruby-sink-commit-{}.jsonl", std::process::id()));
         let path_str = path.to_str().expect("temp path is utf-8").to_owned();
@@ -454,9 +464,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(all(feature = "failpoints", feature = "telemetry"))]
+    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_write_errors_degrade_and_are_counted() {
+        let _serial = jsonl_writers();
         let buf = SharedBuf::default();
         let mut sink = JsonlSink::new(Box::new(buf.clone()));
         sink.emit(&snapshot(1));

@@ -16,16 +16,11 @@ cargo test -q
 echo "==> interleaving checker (bounded schedule exploration)"
 cargo test -q -p ruby-search interleave
 
-echo "==> telemetry feature matrix"
-cargo test -q -p ruby-telemetry
-cargo test -q -p ruby-telemetry --features telemetry
-cargo test -q -p ruby-search --features telemetry
-cargo build --release -p ruby-cli --features telemetry
-
 echo "==> resilience smoke (kill/resume parity + supervised worker panic)"
 cargo run --release -q -p ruby-bench --bin resilience_smoke --features failpoints
 cargo test -q -p ruby-search --features failpoints
 cargo test -q -p ruby-store --features failpoints
+cargo test -q -p ruby-telemetry --features failpoints
 
 echo "==> serve smoke (warm hit from the store, >100x faster, clean SIGTERM)"
 serve_dir=$(mktemp -d)
