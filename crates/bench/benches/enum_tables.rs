@@ -2,7 +2,9 @@
 //! cold query pays before its search can start: per mapspace kind on
 //! Eyeriss 14×12, swept over square GEMM bounds so the cost's growth
 //! with space size is visible (every point tabulates within the default
-//! limits).
+//! limits). Two rows per point: `build` is what the permuted walk pays
+//! (tables plus region counts), `build+regions` what exhaustive and
+//! hybrid search pay (the region list, listed and sorted, on top).
 //!
 //! `cargo bench -p ruby-bench --bench enum_tables`
 
@@ -22,9 +24,14 @@ fn bench_build(c: &mut Criterion) {
         for bound in BOUNDS {
             let shape = ProblemShape::gemm("g", bound, bound, bound);
             let space = Mapspace::new(arch.clone(), shape, kind);
-            group.bench_with_input(BenchmarkId::from_parameter(bound), &space, |b, space| {
-                b.iter(|| EnumTables::build(space, &limits).map(|t| t.regions().len()))
+            group.bench_with_input(BenchmarkId::new("build", bound), &space, |b, space| {
+                b.iter(|| EnumTables::build(space, &limits).map(|t| t.region_count()))
             });
+            group.bench_with_input(
+                BenchmarkId::new("build+regions", bound),
+                &space,
+                |b, space| b.iter(|| EnumTables::build(space, &limits).map(|t| t.regions().len())),
+            );
         }
         group.finish();
     }

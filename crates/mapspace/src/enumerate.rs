@@ -15,15 +15,26 @@
 //!    (clamped slots have `count = ceil(bound/cum)`, the largest factor
 //!    the sampler may draw there), so signature-level bookkeeping loses
 //!    nothing.
-//! 2. **Regions** ([`EnumTables::regions`]): joint combinations of one
-//!    signature group per dimension that satisfy shared fanout (the
+//! 2. **Region counts**: a *region* is a joint combination of one
+//!    signature group per dimension that satisfies shared fanout (the
 //!    per-slot product of counts fits the axis extent — equivalent to
 //!    the sampler's sequential floor-division capacity splitting, in any
 //!    dimension order) and spatial exclusivity. Each full mapping lies
 //!    in exactly one region, so regions partition the space with no
-//!    duplicates. Regions are sorted by their *cycle floor* (product of
-//!    per-dimension minimal sequential steps), cheapest-possible first.
-//! 3. **[`SubspaceIterator`]**: a resumable mixed-radix walk over one
+//!    duplicates. Whether a dimension's group fits depends only on the
+//!    *capacity state* the earlier dimensions left (remaining capacity
+//!    per spatial slot), so the region search is memoized over those
+//!    states: each state becomes a node whose arcs are its feasible
+//!    groups, counting the regions and leaves beneath it. A few hundred
+//!    nodes stand in for up to hundreds of thousands of regions, and
+//!    descending them decodes a global leaf index
+//!    ([`crate::PermutedIterator`]) without listing anything.
+//! 3. **Regions** ([`EnumTables::regions`]): the regions themselves,
+//!    listed from the same nodes on first use (exhaustive search needs
+//!    them; the permuted walk does not) and sorted by their *cycle
+//!    floor* (product of per-dimension minimal sequential steps),
+//!    cheapest-possible first.
+//! 4. **[`SubspaceIterator`]**: a resumable mixed-radix walk over one
 //!    region's leaf index range `[start, end)`. Disjoint ranges touch
 //!    disjoint mappings, so threads split work by index arithmetic
 //!    alone; the same `(region, index)` always denotes the same mapping,
@@ -43,25 +54,31 @@
 //! `(signature rank, steps, chain rank)` keys; afterwards a table holds
 //! the arena, each entry's arena row and steps in table order, and per
 //! group only the range of its entries and its signature. Dimensions
-//! with equal bounds and slot rules share one table, and the region
-//! search threads its state down the recursion instead of undoing it.
+//! with equal bounds and slot rules share one table. The region nodes
+//! and their arcs are two flat arrays as well.
 //!
 //! # Order contract
 //!
-//! The order is part of the interface — a `(region, index)` pair must
-//! name the same mapping in every build, or recorded search answers
-//! stop being reproducible:
+//! The order is part of the interface — a `(region, index)` pair or a
+//! global leaf index must name the same mapping in every build, or
+//! recorded search answers stop being reproducible:
 //!
 //! * groups by signature, lexicographically (innermost spatial slot
 //!   first);
 //! * entries within a group by `(steps, chain)`, cheapest first, so
 //!   leaf 0 of every region is its fastest member;
-//! * regions by `(min_steps, group tuple)`, which is unique per region.
+//! * the global leaf index (the permuted walk's space) runs over regions
+//!   in *group-tuple* order — lexicographic over the per-dimension group
+//!   indices in [`Dim::ALL`] order — and within a region in
+//!   [`SubspaceIterator`]'s mixed-radix order;
+//! * [`EnumTables::regions`] lists regions in *cycle-floor* order, by
+//!   `(min_steps, group tuple)`, which is unique per region.
 //!
-//! `tests/table_order_golden.rs` pins this order with recorded digests.
+//! `tests/table_order_golden.rs` pins both orders.
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use ruby_mapping::{profile, Mapping, ProfileScratch, SlotId, SlotKind, SlotLayout};
 use ruby_workload::Dim;
@@ -337,7 +354,34 @@ impl Region {
     }
 }
 
-/// Deduplicated per-dimension chain tables plus the sorted feasible
+/// A capacity state of the region search: the choices left to
+/// dimensions `depth..7` given the spatial capacity dimensions
+/// `0..depth` used up. Equal states have equal subtrees, so each is
+/// built once and shared by every path that reaches it.
+#[derive(Debug, Clone)]
+struct Node {
+    /// The node's feasible groups, ascending: `arcs[arcs.start..arcs.end]`.
+    arcs: Range<u32>,
+    /// Mappings beneath the node, `None` once the count overflows `u64`.
+    leaves: Option<u64>,
+    /// Regions beneath the node (saturating).
+    regions: u64,
+}
+
+/// One feasible group at a node, leading to the state it leaves.
+#[derive(Debug, Clone, Copy)]
+struct GroupArc {
+    group: u32,
+    child: u32,
+    /// Leaves under the node's earlier arcs (saturating): this arc's
+    /// first leaf, counted from the node's first.
+    before: u64,
+}
+
+/// The terminal node (all seven dimensions chose): one region, one leaf.
+const DONE: u32 = 0;
+
+/// Deduplicated per-dimension chain tables plus the counted feasible
 /// regions of one [`Mapspace`].
 #[derive(Debug, Clone)]
 pub struct EnumTables {
@@ -350,18 +394,23 @@ pub struct EnumTables {
     tables: Vec<DimTable>,
     /// Each dimension's table (by [`Dim::ALL`] order).
     table_of: [usize; 7],
-    regions: Vec<Region>,
-    total_leaves: u64,
+    /// Region-search states; node [`DONE`] is the terminal one.
+    nodes: Vec<Node>,
+    arcs: Vec<GroupArc>,
+    /// The state before any dimension chose.
+    root: u32,
+    /// The regions, listed and sorted on first use.
+    regions: OnceLock<Vec<Region>>,
 }
 
 impl EnumTables {
-    /// Builds the tables and regions, or reports why the space is too
-    /// large to enumerate within `limits`.
+    /// Builds the tables and counts the regions, or reports why the
+    /// space is too large to enumerate within `limits`.
     ///
     /// # Errors
     ///
     /// Returns [`EnumError`] when a per-dimension table or the region
-    /// set exceeds `limits`; callers should fall back to sampling.
+    /// count exceeds `limits`; callers should fall back to sampling.
     pub fn build(space: &Mapspace, limits: &EnumLimits) -> Result<Self, EnumError> {
         let layout = SlotLayout::new(space.arch().num_levels());
         let spatial_slots: Vec<usize> = layout
@@ -393,24 +442,21 @@ impl EnumTables {
             tabulated.push((bound, rules));
         }
 
-        let regions = build_regions(
-            space,
-            &layout,
-            &spatial_slots,
-            &tables,
-            &table_of,
-            limits.max_regions,
-        )?;
-        let total_leaves = regions
-            .iter()
-            .fold(0u64, |acc, r| acc.saturating_add(r.leaves));
+        let (nodes, arcs, root) = count_regions(space, &layout, &spatial_slots, &tables, &table_of);
+        if nodes[root as usize].regions > limits.max_regions as u64 {
+            return Err(EnumError::TooManyRegions {
+                limit: limits.max_regions,
+            });
+        }
         Ok(EnumTables {
             layout,
             spatial_slots,
             tables,
             table_of,
-            regions,
-            total_leaves,
+            nodes,
+            arcs,
+            root,
+            regions: OnceLock::new(),
         })
     }
 
@@ -443,35 +489,128 @@ impl EnumTables {
     }
 
     /// Feasible regions, cheapest cycle floor first (ties broken by
-    /// group indices, so the order is deterministic).
+    /// group indices, so the order is deterministic). Listed and sorted
+    /// on the first call, which costs time and memory in proportion to
+    /// [`EnumTables::region_count`]; counting and the permuted walk
+    /// never need the list.
     pub fn regions(&self) -> &[Region] {
-        &self.regions
+        self.regions.get_or_init(|| self.list_regions())
+    }
+
+    /// The number of feasible regions, without listing them.
+    pub fn region_count(&self) -> usize {
+        // `build` refused counts above `max_regions: usize`.
+        self.node(self.root).regions as usize
     }
 
     /// Total mappings across all regions (saturating).
     pub fn total_leaves(&self) -> u64 {
-        self.total_leaves
+        self.exact_total_leaves().unwrap_or(u64::MAX)
     }
 
-    /// Total mappings across all regions, or `None` when any region's
-    /// leaf product or the sum saturated `u64` (such a space cannot be
-    /// addressed by a single global index and callers must fall back
-    /// to sampling). `u64::MAX` region counts are treated as saturated:
-    /// `saturating_mul` collapses every overflow to exactly that value.
+    /// Total mappings across all regions, or `None` when the count
+    /// overflows `u64` (such a space cannot be addressed by a single
+    /// global index and callers must fall back to sampling).
     pub fn exact_total_leaves(&self) -> Option<u64> {
-        let mut acc = 0u64;
-        for region in &self.regions {
-            if region.leaves == u64::MAX {
-                return None;
-            }
-            acc = acc.checked_add(region.leaves)?;
-        }
-        Some(acc)
+        self.node(self.root).leaves
     }
 
     /// The slot layout the chains were built for.
     pub fn layout(&self) -> &SlotLayout {
         &self.layout
+    }
+
+    fn node(&self, id: u32) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn arcs_of(&self, id: u32) -> &[GroupArc] {
+        let range = &self.node(id).arcs;
+        &self.arcs[range.start as usize..range.end as usize]
+    }
+
+    /// Writes the mapping at global leaf `index` (group-tuple order, see
+    /// the module's order contract) into `out`, leaving permutations
+    /// untouched, and returns its exact sequential step count. Each
+    /// dimension picks the arc whose leaf range holds the index, then
+    /// splits the rest of the index in [`SubspaceIterator`]'s
+    /// mixed-radix order.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or decode an arbitrary mapping, unless `index` is
+    /// below [`EnumTables::exact_total_leaves`].
+    pub fn leaf_into(&self, index: u64, out: &mut Mapping) -> u64 {
+        let mut node = self.root;
+        let mut idx = index;
+        let mut steps = 1u64;
+        for (di, dim) in Dim::ALL.into_iter().enumerate() {
+            let arcs = self.arcs_of(node);
+            // The first arc starts at 0 <= idx, so the point is >= 1.
+            let arc = arcs[arcs.partition_point(|a| a.before <= idx) - 1];
+            idx -= arc.before;
+            node = arc.child;
+            // The same mixed-radix step as `SubspaceIterator::next_into`.
+            let table = self.table(di);
+            let entries = table.entries(arc.group as usize);
+            let radix = entries.len() as u64;
+            let entry = entries.start + (idx % radix) as usize;
+            idx /= radix;
+            out.set_tile_chain(dim, table.chain(entry));
+            steps = steps.saturating_mul(table.steps[entry]);
+        }
+        steps
+    }
+
+    /// Every region, sorted by `(min_steps, group tuple)`.
+    fn list_regions(&self) -> Vec<Region> {
+        let mut regions = Vec::with_capacity(self.region_count());
+        self.list_from(self.root, 0, [0; 7], 1, 1, &mut regions);
+        // Depth-first over ascending arcs emits regions in group-tuple
+        // order, so a region's emission index ranks its group tuple and
+        // the packed `(min_steps, index)` key sorts exactly by
+        // `(min_steps, group)`.
+        let mut keys: Vec<u128> = regions
+            .iter()
+            .enumerate()
+            .map(|(i, r)| u128::from(r.min_steps) << 64 | i as u128)
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|key| regions[key as u64 as usize].clone())
+            .collect()
+    }
+
+    fn list_from(
+        &self,
+        node: u32,
+        depth: usize,
+        mut group: [u32; 7],
+        leaves: u64,
+        min_steps: u64,
+        out: &mut Vec<Region>,
+    ) {
+        if depth == 7 {
+            out.push(Region {
+                group,
+                leaves,
+                min_steps,
+            });
+            return;
+        }
+        let table = self.table(depth);
+        for arc in self.arcs_of(node) {
+            let g = arc.group as usize;
+            group[depth] = arc.group;
+            self.list_from(
+                arc.child,
+                depth + 1,
+                group,
+                leaves.saturating_mul(table.entries(g).len() as u64),
+                min_steps.saturating_mul(table.min_steps(g)),
+                out,
+            );
+        }
     }
 }
 
@@ -737,92 +876,105 @@ impl<'a> ChainWalk<'a> {
     }
 }
 
-/// Depth-first search over one signature group per dimension, keeping
-/// per-spatial-slot remaining capacity (sequential floor division — the
-/// same arithmetic as the sampler's shared [`crate::space`] axis states)
-/// and exclusivity ownership. Row `d` of `remaining` / `taken` is the
-/// state after dimensions `0..d` chose their groups, so descending
-/// writes the next row and nothing is ever undone; the leaf count and
-/// cycle floor are carried down the same way.
-struct RegionSearch<'a> {
+/// Memoized region search over capacity states, one signature group
+/// per dimension. A state is the remaining capacity of every live
+/// spatial slot after sequential floor division — the same arithmetic
+/// as the sampler's shared [`crate::space`] axis states. Under
+/// exclusivity a slot some dimension already splits behaves exactly
+/// like one with capacity 1 (any later count above 1 clashes there), so
+/// ownership folds into the capacities and the state needs no more.
+struct RegionCounter<'a> {
     tables: [&'a DimTable; 7],
     exclusive: bool,
-    /// Signature positions whose axis extent exceeds 1 (one per row
-    /// column); counts elsewhere are all 1 and never clash.
+    /// Signature positions whose axis extent exceeds 1; counts elsewhere
+    /// are all 1 and never clash.
     live: Vec<usize>,
-    remaining: Vec<u64>,
-    taken: Vec<bool>,
-    group: [u32; 7],
-    regions: Vec<Region>,
-    max_regions: usize,
+    /// Node id of each visited `(depth, capacities)` state.
+    seen: HashMap<(usize, Vec<u64>), u32>,
+    nodes: Vec<Node>,
+    arcs: Vec<GroupArc>,
 }
 
-impl RegionSearch<'_> {
-    fn dfs(&mut self, depth: usize, leaves: u64, min_steps: u64) -> Result<(), EnumError> {
+impl RegionCounter<'_> {
+    /// The node of the state where dimension `depth` chooses next with
+    /// `remaining` capacity left, built on first visit.
+    fn visit(&mut self, depth: usize, remaining: Vec<u64>) -> u32 {
         if depth == 7 {
-            self.regions.push(Region {
-                group: self.group,
-                leaves,
-                min_steps,
-            });
-            if self.regions.len() > self.max_regions {
-                return Err(EnumError::TooManyRegions {
-                    limit: self.max_regions,
-                });
-            }
-            return Ok(());
+            return DONE;
         }
+        let key = (depth, remaining);
+        if let Some(&id) = self.seen.get(&key) {
+            return id;
+        }
+        let remaining = &key.1;
         let table = self.tables[depth];
-        let w = self.live.len();
+        let mut arcs = Vec::new();
+        let mut leaves = Some(0u64);
+        let mut regions = 0u64;
         let mut g = 0;
         while g < table.num_groups() {
             let counts = table.counts(g);
-            let (remaining, next_remaining) =
-                self.remaining[depth * w..(depth + 2) * w].split_at_mut(w);
-            let (taken, next_taken) = self.taken[depth * w..(depth + 2) * w].split_at_mut(w);
-            let exclusive = self.exclusive;
-            let clash = self.live.iter().enumerate().find(|&(k, &j)| {
-                let c = counts[j];
-                c > 1 && ((exclusive && taken[k]) || c > remaining[k])
-            });
-            if let Some((_, &j)) = clash {
+            let clash = self
+                .live
+                .iter()
+                .zip(remaining)
+                .find(|&(&j, &left)| counts[j] > left);
+            if let Some((&j, _)) = clash {
                 // Groups are sorted by signature, so every later group
                 // sharing `counts[..j]` has a count at least as large at
                 // `j` and clashes there too.
                 g = table.skips[g * table.width + j] as usize;
                 continue;
             }
-            for (k, &j) in self.live.iter().enumerate() {
-                let c = counts[j];
-                next_remaining[k] = if c > 1 {
-                    remaining[k] / c
-                } else {
-                    remaining[k]
-                };
-                next_taken[k] = taken[k] || c > 1;
+            let next = self
+                .live
+                .iter()
+                .zip(remaining)
+                .map(|(&j, &left)| match counts[j] {
+                    1 => left,
+                    _ if self.exclusive => 1,
+                    c => left / c,
+                })
+                .collect();
+            let child = self.visit(depth + 1, next);
+            let below = &self.nodes[child as usize];
+            // A state no group fits contributes nothing; drop its arc.
+            if below.regions > 0 {
+                let size = table.entries(g).len() as u64;
+                arcs.push(GroupArc {
+                    group: g as u32,
+                    child,
+                    before: leaves.unwrap_or(u64::MAX),
+                });
+                leaves = leaves
+                    .zip(below.leaves)
+                    .and_then(|(sum, below)| sum.checked_add(below.checked_mul(size)?));
+                regions = regions.saturating_add(below.regions);
             }
-            self.group[depth] = g as u32;
-            let entries = table.entries(g).len() as u64;
-            self.dfs(
-                depth + 1,
-                leaves.saturating_mul(entries),
-                min_steps.saturating_mul(table.min_steps(g)),
-            )?;
             g += 1;
         }
-        Ok(())
+        let start = self.arcs.len() as u32;
+        self.arcs.extend(arcs);
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            arcs: start..self.arcs.len() as u32,
+            leaves,
+            regions,
+        });
+        self.seen.insert(key, id);
+        id
     }
 }
 
-/// Every fanout-feasible region, sorted by `(min_steps, group tuple)`.
-fn build_regions(
+/// The region-search nodes, their arcs, and the root's id (node
+/// [`DONE`] is the terminal state).
+fn count_regions(
     space: &Mapspace,
     layout: &SlotLayout,
     spatial_slots: &[usize],
     tables: &[DimTable],
     table_of: &[usize; 7],
-    max_regions: usize,
-) -> Result<Vec<Region>, EnumError> {
+) -> (Vec<Node>, Vec<GroupArc>, u32) {
     let extents: Vec<u64> = spatial_slots
         .iter()
         .map(|&s| {
@@ -836,36 +988,21 @@ fn build_regions(
         })
         .collect();
     let live: Vec<usize> = (0..extents.len()).filter(|&j| extents[j] > 1).collect();
-    let width = live.len();
-    let mut remaining = vec![0u64; 8 * width];
-    for (cap, &j) in remaining.iter_mut().zip(&live) {
-        *cap = extents[j];
-    }
-    let mut search = RegionSearch {
+    let capacity = live.iter().map(|&j| extents[j]).collect();
+    let mut counter = RegionCounter {
         tables: std::array::from_fn(|di| &tables[table_of[di]]),
         exclusive: space.constraints().exclusive_spatial(),
         live,
-        remaining,
-        taken: vec![false; 8 * width],
-        group: [0; 7],
-        regions: Vec::new(),
-        max_regions,
+        seen: HashMap::new(),
+        nodes: vec![Node {
+            arcs: 0..0,
+            leaves: Some(1),
+            regions: 1,
+        }],
+        arcs: Vec::new(),
     };
-    search.dfs(0, 1, 1)?;
-    let regions = search.regions;
-    // The search emits regions in lexicographic group-tuple order, so a
-    // region's emission index ranks its group tuple and the packed
-    // `(min_steps, index)` key sorts exactly by `(min_steps, group)`.
-    let mut keys: Vec<u128> = regions
-        .iter()
-        .enumerate()
-        .map(|(i, r)| u128::from(r.min_steps) << 64 | i as u128)
-        .collect();
-    keys.sort_unstable();
-    Ok(keys
-        .into_iter()
-        .map(|key| regions[key as u64 as usize].clone())
-        .collect())
+    let root = counter.visit(0, capacity);
+    (counter.nodes, counter.arcs, root)
 }
 
 #[cfg(test)]

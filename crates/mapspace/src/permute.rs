@@ -23,15 +23,18 @@
 //! [`PermutedIterator`] lifts the cipher onto a mapspace: the
 //! [`EnumTables`] regions partition the deduplicated chain space into
 //! a single global index range `[0, total_leaves)`, and the iterator
-//! walks that range in shuffled order, decoding each visited index
-//! through [`SubspaceIterator`]. A permuted walk is still an indexed
-//! walk: the cursor is the permutation *position*, so range
-//! partitioning across threads and checkpoint/resume work exactly as
-//! they do for the exhaustive order.
+//! walks that range in shuffled order. Each visited index is decoded
+//! by descending the tables' memoized region counts — one binary search
+//! per dimension — in the *group-tuple* order of the module-level order
+//! contract in [`crate::enumerate`], not the cycle-floor order of
+//! [`EnumTables::regions`], which the walk never lists. A permuted walk
+//! is still an indexed walk: the cursor is the permutation *position*,
+//! so range partitioning across threads and checkpoint/resume work
+//! exactly as they do for the exhaustive order.
 
 use ruby_mapping::Mapping;
 
-use crate::enumerate::{EnumTables, SubspaceIterator};
+use crate::enumerate::EnumTables;
 
 /// Feistel rounds used when none are specified. Four rounds of a
 /// strong mixing function is the standard choice for statistical (not
@@ -148,8 +151,6 @@ impl FeistelPermutation {
 #[derive(Debug)]
 pub struct PermutedIterator<'a> {
     tables: &'a EnumTables,
-    /// `prefix[i]` = leaves in regions `0..i`; length `regions + 1`.
-    prefix: Vec<u64>,
     perm: FeistelPermutation,
     pos: u64,
     end: u64,
@@ -173,18 +174,8 @@ impl<'a> PermutedIterator<'a> {
             start <= end && end <= total,
             "position range {start}..{end} outside space of {total} leaves"
         );
-        let regions = tables.regions();
-        let mut prefix = Vec::with_capacity(regions.len() + 1);
-        let mut acc = 0u64;
-        prefix.push(0);
-        for region in regions {
-            // exact_total_leaves() above proved the sum fits.
-            acc += region.leaves;
-            prefix.push(acc);
-        }
         Some(PermutedIterator {
             tables,
-            prefix,
             perm: FeistelPermutation::new(total, seed),
             pos: start,
             end,
@@ -205,20 +196,15 @@ impl<'a> PermutedIterator<'a> {
 
     /// Decodes the mapping at the next shuffled position into `out`
     /// (permutation loop orders are left untouched, exactly like
-    /// [`SubspaceIterator::next_into`]) and returns `(global index,
-    /// sequential steps)`, or `None` when the range is exhausted.
+    /// [`crate::SubspaceIterator::next_into`]) and returns `(global
+    /// index, sequential steps)`, or `None` when the range is exhausted.
     pub fn next_into(&mut self, out: &mut Mapping) -> Option<(u64, u64)> {
         if self.pos >= self.end {
             return None;
         }
         let global = self.perm.shuffle(self.pos);
         self.pos += 1;
-        // prefix[0] == 0 <= global, so the partition point is >= 1.
-        let ri = self.prefix.partition_point(|&p| p <= global) - 1;
-        let region = &self.tables.regions()[ri];
-        let leaf = global - self.prefix[ri];
-        let steps = SubspaceIterator::new(self.tables, region, leaf, leaf + 1).next_into(out)?;
-        Some((global, steps))
+        Some((global, self.tables.leaf_into(global, out)))
     }
 }
 
@@ -226,7 +212,7 @@ impl<'a> PermutedIterator<'a> {
 mod tests {
     use super::*;
     use crate::space::{Mapspace, MapspaceKind};
-    use crate::EnumLimits;
+    use crate::{EnumLimits, SubspaceIterator};
     use ruby_arch::presets;
     use ruby_workload::ProblemShape;
     use std::collections::BTreeSet;

@@ -12,9 +12,16 @@
 //! A change that reorders, drops or adds anything changes the digest.
 //! Re-record only for an intended order change, with
 //! `cargo test -p ruby-mapspace --test table_order_golden -- --nocapture`.
+//!
+//! The permuted walk's order — global leaf indices decoded through the
+//! region counts, in group-tuple order — is checked on the same spaces
+//! against the listed regions directly, so it needs no digest.
 
 use ruby_arch::presets;
-use ruby_mapspace::{Constraints, EnumLimits, EnumTables, Mapspace, MapspaceKind};
+use ruby_mapping::Mapping;
+use ruby_mapspace::{
+    Constraints, EnumLimits, EnumTables, Mapspace, MapspaceKind, PermutedIterator, SubspaceIterator,
+};
 use ruby_workload::{Dim, ProblemShape};
 
 /// 64-bit FNV-1a over little-endian words: stable across platforms,
@@ -195,4 +202,80 @@ fn tables_and_regions_keep_their_golden_order() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Golden spaces up to this many leaves have every global index
+/// decoded; larger ones (up to ~2e9 leaves) every region's first,
+/// middle and last leaf, which still crosses every arc boundary.
+const DECODE_EVERY_LEAF: u64 = 1 << 16;
+
+/// The permuted walk's global leaf index, decoded through the region
+/// counts, runs over the regions in group-tuple order, each region's
+/// leaves contiguous and in `SubspaceIterator` order.
+#[test]
+fn global_leaves_follow_group_tuple_order() {
+    for (name, space) in spaces() {
+        let tables =
+            EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
+        let total = tables.exact_total_leaves().expect("golden spaces fit u64");
+        let mut emitted = tables.regions().to_vec();
+        emitted.sort_by_key(|r| Dim::ALL.map(|d| r.group(d)));
+        let mut expected = Mapping::builder(space.arch().num_levels())
+            .build_for_bounds(space.shape().bounds())
+            .expect("default mapping");
+        let mut decoded = expected.clone();
+        let mut first = 0u64;
+        for region in &emitted {
+            let leaves: Vec<u64> = if total <= DECODE_EVERY_LEAF {
+                (0..region.leaves).collect()
+            } else {
+                vec![0, region.leaves / 2, region.leaves - 1]
+            };
+            for leaf in leaves {
+                let steps =
+                    SubspaceIterator::new(&tables, region, leaf, leaf + 1).next_into(&mut expected);
+                let index = first + leaf;
+                assert_eq!(
+                    Some(tables.leaf_into(index, &mut decoded)),
+                    steps,
+                    "{name}: steps of leaf {index}"
+                );
+                assert_eq!(decoded, expected, "{name}: mapping of leaf {index}");
+            }
+            first += region.leaves;
+        }
+        assert_eq!(first, total, "{name}: leaf total");
+    }
+}
+
+/// The root's counts agree with the listed regions.
+#[test]
+fn counts_match_the_region_list() {
+    for (name, space) in spaces() {
+        let tables =
+            EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
+        let leaves: u64 = tables.regions().iter().map(|r| r.leaves).sum();
+        assert_eq!(tables.exact_total_leaves(), Some(leaves), "{name}");
+        assert_eq!(tables.total_leaves(), leaves, "{name}");
+        assert_eq!(tables.region_count(), tables.regions().len(), "{name}");
+    }
+}
+
+/// Every region's leaf count fits `u64` but their sum does not: the
+/// space has no exact total, so the permuted walk refuses it.
+#[test]
+fn overflowing_leaf_sum_has_no_exact_total() {
+    let space = Mapspace::new(
+        presets::toy_glb(1 << 20, 2, 2),
+        ProblemShape::conv("c", 90, 90, 90, 90, 90, 90, 90, (1, 1)),
+        MapspaceKind::Ruby,
+    );
+    let tables = EnumTables::build(&space, &EnumLimits::default()).expect("space tabulates");
+    let regions = tables.regions();
+    assert!(regions.iter().all(|r| r.leaves < u64::MAX));
+    let sum: u128 = regions.iter().map(|r| u128::from(r.leaves)).sum();
+    assert!(sum > u128::from(u64::MAX), "sum {sum} fits u64");
+    assert_eq!(tables.exact_total_leaves(), None);
+    assert_eq!(tables.total_leaves(), u64::MAX);
+    assert!(PermutedIterator::new(&tables, 1, 0, 0).is_none());
 }

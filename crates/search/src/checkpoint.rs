@@ -35,8 +35,12 @@ use crate::{BestMapping, SearchConfig, SearchOutcome, Shared};
 
 /// Version of the on-disk checkpoint format (independent of the
 /// telemetry [`SCHEMA_VERSION`](ruby_telemetry::SCHEMA_VERSION), which
-/// tracks the *streaming* records). Bump on any field change.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// tracks the *streaming* records). Bump on any field change, and
+/// whenever a saved cursor would resume onto different candidates.
+/// Version 2: the permuted walk decodes its positions in group-tuple
+/// order (see `ruby_mapspace::enumerate`), so a version-1 permuted
+/// position names a different mapping.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Why a checkpoint could not be written, read, or resumed from.
 #[derive(Debug)]

@@ -40,7 +40,8 @@ use crate::checkpoint::{
 use crate::stop::StopToken;
 use crate::sync::{AtomicU64, Ordering};
 use crate::{
-    exhaustive, permuted, run_random, SearchConfig, SearchOutcome, SearchStrategy, Shared,
+    exhaustive, permuted, run_random, MemoCache, SearchConfig, SearchOutcome, SearchStrategy,
+    Shared,
 };
 
 /// Workers publish a progress snapshot every this many reservations
@@ -849,15 +850,43 @@ pub(crate) fn execute_ctx(
         return outcome;
     }
     validate_run(config);
-    let mut shared = Shared::new(config);
-    shared.token = ctx.token.clone();
-    if let Some(cp) = &ctx.resume {
-        checkpoint::restore_shared(&shared, cp);
-    }
+    let shared = shared_for(mapspace, config, ctx);
     let exhausted = dispatch(mapspace, config, &shared, ctx);
     let outcome = collect(shared, exhausted);
     finish_checkpoint(config, ctx, &outcome);
     outcome
+}
+
+/// The run's shared state, restored from the resume checkpoint if
+/// there is one. The memo is allocated only when some leg of the run
+/// probes or inserts into it.
+fn shared_for(mapspace: &Mapspace, config: &SearchConfig, ctx: &RunCtx) -> Shared {
+    let mut shared = Shared::new(config);
+    shared.token = ctx.token.clone();
+    if config.dedup && uses_memo(mapspace, config, ctx) {
+        // `try_new` degrades to no deduplication when the simulated
+        // allocation failure (`search.memo.alloc` failpoint) fires.
+        shared.memo = MemoCache::try_new(config.memo_bits);
+    }
+    if let Some(cp) = &ctx.resume {
+        checkpoint::restore_shared(&shared, cp);
+    }
+    shared
+}
+
+/// Whether any leg [`dispatch`] runs probes or inserts into the memo:
+/// every one but the plain permuted walk, which never repeats a
+/// candidate. A random run takes the walk exactly when the space
+/// tabulates (or its cursor says it did).
+fn uses_memo(mapspace: &Mapspace, config: &SearchConfig, ctx: &RunCtx) -> bool {
+    if config.strategy != SearchStrategy::Random {
+        return true;
+    }
+    match ctx.resume.as_ref().map(|cp| &cp.cursor) {
+        Some(Cursor::Permuted(_)) => false,
+        Some(Cursor::Random(_)) => true,
+        _ => !permuted::walkable(mapspace),
+    }
 }
 
 /// Resuming a `Done` checkpoint replays the recorded outcome instead of
@@ -936,11 +965,7 @@ fn run_streaming(
         return outcome;
     }
     validate_run(config);
-    let mut shared = Shared::new(config);
-    shared.token = ctx.token.clone();
-    if let Some(cp) = &ctx.resume {
-        checkpoint::restore_shared(&shared, cp);
-    }
+    let mut shared = shared_for(mapspace, config, ctx);
     shared.progress = Some(ProgressState::new(config.threads as u64));
     let done = std::sync::atomic::AtomicBool::new(false);
     let exhausted = {

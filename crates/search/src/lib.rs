@@ -538,7 +538,8 @@ struct Shared {
     /// matching Timeloop's approximate multi-threaded victory condition;
     /// single-threaded it is exact.
     fails: AtomicU64,
-    /// Shared memo cache; `None` when [`SearchConfig::dedup`] is off.
+    /// Shared memo cache; `None` when [`SearchConfig::dedup`] is off or
+    /// no leg of the run uses it (see `engine::shared_for`).
     memo: Option<MemoCache>,
     /// Taken only when a thread has already won the best-cost CAS.
     record: Mutex<Record>,
@@ -592,12 +593,7 @@ impl Shared {
             stop: AtomicBool::new(false),
             best_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             fails: AtomicU64::new(0),
-            // `try_new` degrades to no deduplication when the simulated
-            // allocation failure (`search.memo.alloc` failpoint) fires.
-            memo: config
-                .dedup
-                .then(|| MemoCache::try_new(config.memo_bits))
-                .flatten(),
+            memo: None,
             record: Mutex::new(Record {
                 best: None,
                 trace: Vec::new(),
@@ -667,9 +663,9 @@ impl Shared {
 }
 
 /// Quarantines a candidate whose evaluation panicked: classifies it
-/// invalid, memoizes `+inf` so no strategy retries it, and records its
-/// key in the poison list. The caller accounts for the evaluation
-/// reservation and the restart itself.
+/// invalid, memoizes `+inf` (when the run has a memo) so no strategy
+/// retries it, and records its key in the poison list. The caller
+/// accounts for the evaluation reservation and the restart itself.
 fn quarantine(shared: &Shared, key: u64) {
     // ordering: Relaxed — statistics counters, read after join barriers.
     shared.invalid.fetch_add(1, Ordering::Relaxed);

@@ -124,6 +124,14 @@ pub(crate) fn run(
     Some(complete)
 }
 
+/// Whether [`run`] walks `mapspace` rather than returning `None`.
+pub(crate) fn walkable(mapspace: &Mapspace) -> bool {
+    mapspace
+        .enum_tables()
+        .and_then(EnumTables::exact_total_leaves)
+        .is_some()
+}
+
 /// Splits `[0, total)` into one contiguous range per worker. Disjoint
 /// position ranges under one shared permutation give disjoint candidate
 /// sets, so workers never collide and never need the memo.
@@ -218,10 +226,9 @@ fn walk_loop(
     restarts_left: &mut u64,
     last_key: &mut Option<u64>,
 ) {
-    // The plain random path skips the memo entirely — the walk itself
-    // guarantees zero duplicates. Hybrid-warmup evaluations still insert
-    // (never probe) so the enumeration leg dedups against them.
-    let keep_memo = phase != RandomPhase::Plain;
+    // The plain random path has no memo — the walk itself guarantees
+    // zero duplicates. Hybrid-warmup evaluations still insert (never
+    // probe) so the enumeration leg dedups against them.
     let mut ordinals = [0u64; BATCH];
     let mut verdicts = [BatchVerdict::RejectFanout; BATCH];
     let mut saved_epoch = match cpr {
@@ -314,10 +321,8 @@ fn walk_loop(
                     // ordering: Relaxed — statistics counter, read only
                     // after the thread join barrier.
                     shared.invalid.fetch_add(1, Ordering::Relaxed);
-                    if keep_memo {
-                        if let Some(memo) = &shared.memo {
-                            memo.insert(batch.mapping(lane).canonical_key(), f64::INFINITY);
-                        }
+                    if let Some(memo) = &shared.memo {
+                        memo.insert(batch.mapping(lane).canonical_key(), f64::INFINITY);
                     }
                 }
                 LaneScore::Panicked => {
@@ -339,10 +344,8 @@ fn walk_loop(
                     // after the thread join barrier.
                     shared.valid.fetch_add(1, Ordering::Relaxed);
                     let cost = config.objective.cost_of_summary(&summary);
-                    if keep_memo {
-                        if let Some(memo) = &shared.memo {
-                            memo.insert(batch.mapping(lane).canonical_key(), cost);
-                        }
+                    if let Some(memo) = &shared.memo {
+                        memo.insert(batch.mapping(lane).canonical_key(), cost);
                     }
                     let mut improved = false;
                     if try_improve(shared, cost) {

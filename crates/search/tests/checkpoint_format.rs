@@ -17,7 +17,7 @@ use ruby_search::checkpoint::{
     RandomPhase,
 };
 use ruby_search::{
-    BestMapping, CheckpointError, Engine, SearchCheckpoint, SearchConfig, SearchStrategy,
+    BestMapping, CheckpointError, Engine, SearchCheckpoint, SearchConfig, SearchStrategy, StopToken,
 };
 use ruby_workload::ProblemShape;
 
@@ -220,7 +220,8 @@ fn future_schema_reports_a_version_mismatch() {
     let path = scratch();
     cp.save(&path).expect("save succeeds");
     let raw = std::fs::read_to_string(&path).expect("readable");
-    let bumped = raw.replacen("{\"schema\":1,", "{\"schema\":999,", 1);
+    let current = format!("{{\"schema\":{},", ruby_search::CHECKPOINT_SCHEMA);
+    let bumped = raw.replacen(&current, "{\"schema\":999,", 1);
     assert_ne!(raw, bumped, "replacement must hit the header");
     std::fs::write(&path, bumped).expect("writable");
     match SearchCheckpoint::load(&path) {
@@ -233,6 +234,57 @@ fn future_schema_reports_a_version_mismatch() {
         other => panic!("expected a schema mismatch, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Schema 1 predates the permuted walk's group-tuple decode order, so
+/// its permuted positions name other mappings: resuming one is refused.
+#[test]
+fn schema_1_permuted_checkpoint_is_refused() {
+    let space = Mapspace::new(
+        presets::toy_linear(16, 1024),
+        ProblemShape::rank1("d", 113),
+        MapspaceKind::Ruby,
+    );
+    let config = SearchConfig::builder()
+        .seed(7)
+        .threads(1)
+        .strategy(SearchStrategy::Random)
+        .max_evaluations(2_000)
+        .no_termination()
+        .build()
+        .expect("valid config");
+    let path = scratch();
+    let token = StopToken::new();
+    token.trip_after_evaluations(100);
+    Engine::new(&space)
+        .with_config(config.clone())
+        .with_stop_token(token)
+        .with_checkpoint(&path, 10_000)
+        .try_run()
+        .expect("interrupted run still yields an outcome");
+    let cp = SearchCheckpoint::load(&path).expect("current schema loads");
+    assert!(
+        matches!(cp.cursor, Cursor::Permuted(_)),
+        "the walk wrote the cursor: {:?}",
+        cp.cursor
+    );
+    let raw = std::fs::read_to_string(&path).expect("readable");
+    let current = format!("{{\"schema\":{},", ruby_search::CHECKPOINT_SCHEMA);
+    let old = raw.replacen(&current, "{\"schema\":1,", 1);
+    assert_ne!(raw, old, "replacement must hit the header");
+    std::fs::write(&path, old).expect("writable");
+    let resumed = Engine::new(&space)
+        .with_config(config)
+        .with_checkpoint(&path, 10_000)
+        .resume()
+        .try_run();
+    let _ = std::fs::remove_file(&path);
+    match resumed {
+        Err(CheckpointError::SchemaMismatch { found: 1, expected }) => {
+            assert_eq!(expected, ruby_search::CHECKPOINT_SCHEMA);
+        }
+        other => panic!("expected a schema mismatch, got {other:?}"),
+    }
 }
 
 #[test]

@@ -365,6 +365,55 @@ mod failpoints {
     }
 
     #[test]
+    fn simulated_alloc_failure_degrades_sampling_to_no_dedup() {
+        let _guard = inject();
+        ruby_failpoints::reset();
+        let space = toy_space();
+        let deduped = Engine::new(&space)
+            .with_config(config_for(SearchStrategy::Sampled))
+            .run();
+        assert!(deduped.duplicates > 0, "the sampler revisits the toy space");
+        assert!(ruby_failpoints::arm("search.memo.alloc", "err"));
+        let outcome = Engine::new(&space)
+            .with_config(config_for(SearchStrategy::Sampled))
+            .run();
+        ruby_failpoints::reset();
+        assert_eq!(outcome.duplicates, 0);
+        assert!(outcome.best.is_some());
+        assert_eq!(
+            outcome.evaluations,
+            outcome.valid + outcome.invalid + outcome.duplicates
+        );
+    }
+
+    /// The memo is allocated only for legs that probe or insert into
+    /// it; the plain permuted walk never repeats a candidate.
+    #[test]
+    fn only_memo_using_strategies_allocate_the_memo() {
+        let _guard = inject();
+        ruby_failpoints::reset();
+        let space = toy_space();
+        let _ = Engine::new(&space)
+            .with_config(config_for(SearchStrategy::Random))
+            .run();
+        assert_eq!(ruby_failpoints::hits("search.memo.alloc"), 0);
+        for strategy in [
+            SearchStrategy::Sampled,
+            SearchStrategy::Exhaustive,
+            SearchStrategy::Hybrid,
+        ] {
+            let before = ruby_failpoints::hits("search.memo.alloc");
+            let _ = Engine::new(&space).with_config(config_for(strategy)).run();
+            assert_eq!(
+                ruby_failpoints::hits("search.memo.alloc"),
+                before + 1,
+                "{strategy:?}"
+            );
+        }
+        ruby_failpoints::reset();
+    }
+
+    #[test]
     fn torn_checkpoint_write_leaves_the_previous_file_intact() {
         let _guard = inject();
         ruby_failpoints::reset();

@@ -25,7 +25,10 @@ cargo test -q -p ruby-telemetry --features failpoints
 echo "==> serve smoke (warm hit from the store, >100x faster, clean SIGTERM)"
 serve_dir=$(mktemp -d)
 trap 'rm -rf "$serve_dir"' EXIT
-query_line=$(./target/release/ruby query --arch toy:16,1024 --workload rank1:113 \
+# A GEMM gives the cold query a real search to run: the toy rank-1
+# space holds only a few hundred mappings, so its cold answer is too
+# cheap for the 100x ratio to keep any margin.
+query_line=$(./target/release/ruby query --arch toy:16,1024 --workload gemm:64,64,64 \
     --budget quick --print)
 # exec so SERVE_PID is the server itself, not a wrapping subshell.
 coproc SERVE { exec ./target/release/ruby serve --store "$serve_dir/store.log"; }
