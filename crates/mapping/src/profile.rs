@@ -112,17 +112,21 @@ pub fn sequential_steps(chain: &[u64], layout: &SlotLayout) -> u64 {
     sequential_steps_with(chain, layout, &mut ProfileScratch::new())
 }
 
-/// Reusable multiset scratch for allocation-free profile walks.
+/// Reusable scratch for allocation-free chain walks.
 ///
-/// A boundary's tile multiset has at most one distinct size per
+/// [`boundary_tile_counts_into`] splits a tile-size multiset boundary by
+/// boundary. A boundary's multiset has at most one distinct size per
 /// remaining chain link (each split adds the granularity plus per-size
-/// residuals, each clamp only merges), so the working set stays tiny —
-/// a sorted `(size, count)` vector beats the `BTreeMap` the one-shot
-/// [`TileProfile`] API uses, and reusing it across dimensions and
-/// candidates removes the cost model's dominant allocation churn. The
-/// arithmetic is exactly [`TileProfile::split`] / [`TileProfile::clamp`]
-/// on the same sorted order, so every count is bit-identical to the
-/// allocating path (the unit tests pin this).
+/// residuals), so the working set stays tiny — a sorted `(size, count)`
+/// vector beats the `BTreeMap` the one-shot [`TileProfile`] API uses, and
+/// reusing it across dimensions and candidates removes the cost model's
+/// dominant allocation churn. The arithmetic is exactly
+/// [`TileProfile::split`] on the same sorted order, so every count is
+/// bit-identical to the allocating path (the unit tests pin this).
+///
+/// [`sequential_steps_with`] does not walk the multiset at all: it keeps
+/// one step count per boundary (the steps of a full tile there) and
+/// resolves each boundary's residual against the counts below it.
 #[derive(Debug, Default)]
 pub struct ProfileScratch {
     /// Current multiset: `(size, count)` sorted by size, like
@@ -130,6 +134,9 @@ pub struct ProfileScratch {
     cur: Vec<(u64, u64)>,
     /// Double buffer for split passes.
     next: Vec<(u64, u64)>,
+    /// `full[k]`: the sequential steps of one full tile (`chain[k]`
+    /// elements) at boundary `k`.
+    full: Vec<u64>,
 }
 
 impl ProfileScratch {
@@ -167,24 +174,6 @@ impl ProfileScratch {
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    /// In-place [`TileProfile::clamp`]: every size drops to at most `g`
-    /// without changing counts. `min` is monotonic, so the sorted order
-    /// survives and only adjacent entries can merge.
-    fn clamp(&mut self, g: u64) {
-        let mut write = 0usize;
-        for i in 0..self.cur.len() {
-            let (size, count) = self.cur[i];
-            let clamped = size.min(g);
-            if write > 0 && self.cur[write - 1].0 == clamped {
-                self.cur[write - 1].1 += count;
-            } else {
-                self.cur[write] = (clamped, count);
-                write += 1;
-            }
-        }
-        self.cur.truncate(write);
-    }
-
     /// Sorted-insert `count` tiles of `size` (the multiset stays tiny,
     /// so the linear probe beats any map).
     fn bump(entries: &mut Vec<(u64, u64)>, size: u64, count: u64) {
@@ -196,7 +185,19 @@ impl ProfileScratch {
 }
 
 /// [`sequential_steps`] against a caller-owned [`ProfileScratch`], for
-/// hot loops that walk many chains (the cost model's latency path).
+/// hot loops that walk many chains (the cost model's latency path and
+/// table construction).
+///
+/// The steps of a tile depend only on its size and boundary, and steps
+/// add over the tiles of a boundary, so one full tile per boundary
+/// suffices: `full[k]` is the steps of a `chain[k]` tile at boundary
+/// `k`, built innermost-out from `full[0] = 1`. A tile of `x` elements
+/// at boundary `k` meets slot `k - 1` with granularity `g`: a temporal
+/// slot runs `x / g` full children of `full[k - 1]` steps each, then its
+/// residual `x % g` (if any) one boundary further in; a spatial slot is
+/// paced by its largest chunk, a full child when `x >= g` and otherwise
+/// the whole `x` passed inward. Usually one division per boundary, and
+/// every partial sum is at most `x`, so nothing overflows.
 pub fn sequential_steps_with(
     chain: &[u64],
     layout: &SlotLayout,
@@ -204,17 +205,37 @@ pub fn sequential_steps_with(
 ) -> u64 {
     let s = chain.len() - 1;
     debug_assert_eq!(s, layout.num_slots());
-    scratch.reset(chain[s]);
-    for slot in (0..s).rev() {
-        let g = chain[slot];
-        if layout.kind_of(SlotId::new(slot)).is_spatial() {
-            scratch.clamp(g);
-        } else {
-            scratch.split(g);
-        }
+    let full = &mut scratch.full;
+    full.clear();
+    full.push(1);
+    for k in 1..=s {
+        let steps = tile_steps(chain, layout, full, k, chain[k]);
+        full.push(steps);
     }
-    // All tiles are now unit-sized; the count is the step total.
-    scratch.num_tiles()
+    full[s]
+}
+
+/// The sequential steps of one `x`-element tile at boundary `k`, given
+/// `full[..k]` (see [`sequential_steps_with`]).
+fn tile_steps(chain: &[u64], layout: &SlotLayout, full: &[u64], mut k: usize, mut x: u64) -> u64 {
+    let mut steps = 0u64;
+    while k > 0 {
+        let g = chain[k - 1];
+        if layout.kind_of(SlotId::new(k - 1)).is_spatial() {
+            if x >= g {
+                return steps + full[k - 1];
+            }
+        } else {
+            steps += (x / g) * full[k - 1];
+            x %= g;
+            if x == 0 {
+                return steps;
+            }
+        }
+        k -= 1;
+    }
+    // A tile at boundary 0 is one step.
+    steps + 1
 }
 
 /// `num_tiles` of every [`boundary_profiles`] entry — `out[b]` is the

@@ -5,8 +5,10 @@
 
 use proptest::prelude::*;
 
-use ruby_mapping::profile::{boundary_profiles, sequential_steps, TileProfile};
-use ruby_mapping::{SlotId, SlotKind, SlotLayout};
+use ruby_mapping::profile::{
+    boundary_profiles, sequential_steps, sequential_steps_with, TileProfile,
+};
+use ruby_mapping::{ProfileScratch, SlotId, SlotKind, SlotLayout};
 
 /// Brute force: recursively split `extent` by the chain (innermost
 /// granularity first is chain[0]) and collect the tile sizes at each
@@ -121,4 +123,53 @@ proptest! {
         let clamped = split.clamp(g);
         prop_assert_eq!(clamped.num_tiles(), split.num_tiles());
     }
+}
+
+/// Calls `check` on every monotone chain `1 = c[0] <= c[1] <= … <=
+/// c[len - 1] = bound`.
+fn for_each_monotone_chain(len: usize, bound: u64, check: &mut impl FnMut(&[u64])) {
+    fn fill(chain: &mut [u64], at: usize, bound: u64, check: &mut impl FnMut(&[u64])) {
+        if at + 1 == chain.len() {
+            return check(chain);
+        }
+        for v in chain[at - 1]..=bound {
+            chain[at] = v;
+            fill(chain, at + 1, bound, check);
+        }
+    }
+    let mut chain = vec![1; len];
+    chain[len - 1] = bound;
+    fill(&mut chain, 1, bound, check);
+}
+
+/// Checks [`sequential_steps_with`] against [`brute_steps`] on every
+/// monotone chain of a `levels`-level layout with each of `bounds`. One
+/// scratch serves every chain, so a count left over from an earlier
+/// chain would show up as a mismatch.
+fn check_every_monotone_chain(levels: usize, bounds: impl IntoIterator<Item = u64>) {
+    let layout = SlotLayout::new(levels);
+    let mut scratch = ProfileScratch::new();
+    for bound in bounds {
+        for_each_monotone_chain(layout.num_slots() + 1, bound, &mut |chain| {
+            let expected = brute_steps(chain, &layout, chain.len() - 1, bound);
+            assert_eq!(
+                sequential_steps_with(chain, &layout, &mut scratch),
+                expected,
+                "{chain:?}"
+            );
+        });
+    }
+}
+
+/// Every 2-level chain (6 slots) up to bound 24, and all 2.6M chains of
+/// bound 48.
+#[test]
+fn steps_match_brute_force_on_every_two_level_chain() {
+    check_every_monotone_chain(2, (1..=24).chain([48]));
+}
+
+/// Every 3-level chain (9 slots) up to bound 12.
+#[test]
+fn steps_match_brute_force_on_every_three_level_chain() {
+    check_every_monotone_chain(3, 1..=12);
 }

@@ -48,14 +48,23 @@
 //!
 //! A table is a handful of flat arrays, not a tree of small vectors.
 //! Generation appends every chain as one fixed-stride row
-//! (`num_slots + 1` values) to a `Vec<u64>` arena and deduplicates by
-//! sorting the rows (a stable sort, so the sorted runs the factor walk
-//! emits merge cheaply). Grouping is one sort of packed
-//! `(signature rank, steps, chain rank)` keys; afterwards a table holds
-//! the arena, each entry's arena row and steps in table order, and per
-//! group only the range of its entries and its signature. Dimensions
-//! with equal bounds and slot rules share one table. The region nodes
-//! and their arcs are two flat arrays as well.
+//! (`num_slots + 1` values) to a `Vec<u64>` arena. The PFM, Ruby and
+//! Ruby-T walks emit strictly ascending chains (factors ascend, the
+//! innermost slot is chosen first, and only a slot's last factor
+//! clamps), so their row index already is the chain's rank; only Ruby-S,
+//! which chooses spatial factors before temporal ones, repeats chains and
+//! deduplicates by sorting the rows (a stable sort, so the sorted runs
+//! its walk emits merge cheaply). A signature packs into one mixed-radix
+//! number (digit `count - 1` per spatial slot, radix `min(cap, bound)`,
+//! innermost slot most significant, so numeric order is lexicographic
+//! order), and grouping is one sort of packed `(signature, steps, chain
+//! rank)` keys: a group starts wherever the signature changes, and its
+//! counts decode from the key. Afterwards a table holds the arena, each
+//! entry's arena row and steps in table order, and per group only the
+//! range of its entries and its signature. Dimensions with equal bounds
+//! and slot rules share one table. The region nodes and their arcs are
+//! two flat arrays as well, and the search keys each capacity state by
+//! one integer.
 //!
 //! # Order contract
 //!
@@ -111,14 +120,16 @@ impl Default for EnumLimits {
 /// Why table construction refused a mapspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnumError {
-    /// One dimension's deduplicated chain table exceeded the limit.
+    /// One dimension's deduplicated chain table exceeded the limit, or
+    /// its spatial signatures do not pack into 32 bits.
     DimTooLarge {
         /// The offending dimension.
         dim: Dim,
         /// The configured entry limit.
         limit: usize,
     },
-    /// The number of feasible regions exceeded the limit.
+    /// The number of feasible regions exceeded the limit, or the region
+    /// search's capacity states do not fit a 64-bit key.
     TooManyRegions {
         /// The configured region limit.
         limit: usize,
@@ -169,7 +180,7 @@ struct DimTable {
 
 impl DimTable {
     /// Tabulates one dimension, or `None` when its deduplicated chains
-    /// outgrow `limit`.
+    /// outgrow `limit` or its signatures do not pack into 32 bits.
     fn build(
         kind: MapspaceKind,
         bound: u64,
@@ -184,62 +195,69 @@ impl DimTable {
         let mut rows = walk.rows;
         rows.shrink_to_fit();
         let row = |r: u32| &rows[r as usize * stride..][..stride];
-        let unique = sorted_unique(&rows, stride);
+        // Only Ruby-S's spatial-first walk repeats chains or emits them
+        // out of order; the other walks emit strictly ascending chains,
+        // so their row index already is the chain rank.
+        let unique = (kind == MapspaceKind::RubyS).then(|| sorted_unique(&rows, stride));
+        let rank_row = |rank: u32| unique.as_ref().map_or(rank, |u| u[rank as usize]);
+        let distinct = unique.as_ref().map_or(rows.len() / stride, Vec::len);
+        debug_assert!(
+            unique.is_some() || (1..distinct as u32).all(|r| row(r - 1) < row(r)),
+            "{kind} walk emitted chains out of order"
+        );
 
-        // One packed key per distinct chain: (signature id, steps, chain
-        // rank). Signature ids are first-seen here and replaced by their
-        // lexicographic rank below, before the sort.
+        // A signature packs into one mixed-radix number, innermost slot
+        // most significant, so numeric order is lexicographic order.
+        // Slot `j`'s digit is `count - 1 < min(cap, bound)`.
         let width = spatial_slots.len();
-        let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
-        let mut sigs: Vec<u64> = Vec::new();
-        let mut sig = vec![0u64; width];
+        let mut weights = vec![0u64; width];
+        let mut span = 1u64;
+        for (weight, &s) in weights.iter_mut().zip(spatial_slots).rev() {
+            *weight = span;
+            let radix = rules[s].cap.unwrap_or(bound).min(bound);
+            span = span.checked_mul(radix)?;
+        }
+        if span > 1 << 32 {
+            return None;
+        }
+
+        // One packed key per distinct chain: (signature, steps, chain
+        // rank); a single sort puts them in table order.
         let mut scratch = ProfileScratch::new();
-        let mut keys: Vec<u128> = Vec::with_capacity(unique.len());
-        for (rank, &r) in unique.iter().enumerate() {
-            let chain = row(r);
-            for (count, &s) in sig.iter_mut().zip(spatial_slots) {
-                *count = chain[s + 1].div_ceil(chain[s]);
-            }
-            let id = match ids.get(sig.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = ids.len() as u32;
-                    ids.insert(sig.clone(), id);
-                    sigs.extend_from_slice(&sig);
-                    id
-                }
-            };
+        let mut keys: Vec<u128> = Vec::with_capacity(distinct);
+        for rank in 0..distinct as u32 {
+            let chain = row(rank_row(rank));
+            let sig: u64 = spatial_slots
+                .iter()
+                .zip(&weights)
+                .map(|(&s, &weight)| (chain[s + 1].div_ceil(chain[s]) - 1) * weight)
+                .sum();
             let steps = profile::sequential_steps_with(chain, layout, &mut scratch);
-            keys.push(u128::from(id) << 96 | u128::from(steps) << 32 | rank as u128);
-        }
-        let sig_of = |id: u32| &sigs[id as usize * width..][..width];
-        let mut by_sig: Vec<u32> = (0..ids.len() as u32).collect();
-        by_sig.sort_unstable_by(|&a, &b| sig_of(a).cmp(sig_of(b)));
-        let mut rank_of = vec![0u32; by_sig.len()];
-        for (rank, &id) in by_sig.iter().enumerate() {
-            rank_of[id as usize] = rank as u32;
-        }
-        for key in &mut keys {
-            let id = (*key >> 96) as usize;
-            *key = u128::from(rank_of[id]) << 96 | (*key & ((1u128 << 96) - 1));
+            keys.push(u128::from(sig) << 96 | u128::from(steps) << 32 | u128::from(rank));
         }
         keys.sort_unstable();
 
-        let mut entry_rows = Vec::with_capacity(keys.len());
-        let mut steps = Vec::with_capacity(keys.len());
-        let mut starts = Vec::with_capacity(by_sig.len() + 1);
+        let mut entry_rows = Vec::with_capacity(distinct);
+        let mut steps = Vec::with_capacity(distinct);
+        let mut starts = Vec::new();
+        let mut counts = Vec::new();
+        let mut prev_sig = None;
         for key in keys {
-            // Every rank below the number of signatures has a member, so
-            // a group starts exactly when its rank first appears.
-            if starts.len() == (key >> 96) as usize {
+            let sig = (key >> 96) as u64;
+            if prev_sig != Some(sig) {
+                prev_sig = Some(sig);
                 starts.push(steps.len() as u32);
+                let mut rest = sig;
+                for &weight in &weights {
+                    counts.push(rest / weight + 1);
+                    rest %= weight;
+                }
             }
             steps.push((key >> 32) as u64);
-            entry_rows.push(unique[key as u32 as usize]);
+            entry_rows.push(rank_row(key as u32));
         }
         starts.push(steps.len() as u32);
-        let counts: Vec<u64> = by_sig.iter().flat_map(|&id| sig_of(id)).copied().collect();
-        let groups = by_sig.len();
+        let groups = starts.len() - 1;
         let mut skips = vec![0u32; groups * width];
         for g in (0..groups).rev() {
             let shared = if g + 1 < groups {
@@ -442,11 +460,13 @@ impl EnumTables {
             tabulated.push((bound, rules));
         }
 
-        let (nodes, arcs, root) = count_regions(space, &layout, &spatial_slots, &tables, &table_of);
+        let too_many = EnumError::TooManyRegions {
+            limit: limits.max_regions,
+        };
+        let (nodes, arcs, root) =
+            count_regions(space, &layout, &spatial_slots, &tables, &table_of).ok_or(too_many)?;
         if nodes[root as usize].regions > limits.max_regions as u64 {
-            return Err(EnumError::TooManyRegions {
-                limit: limits.max_regions,
-            });
+            return Err(too_many);
         }
         Ok(EnumTables {
             layout,
@@ -889,24 +909,34 @@ struct RegionCounter<'a> {
     /// Signature positions whose axis extent exceeds 1; counts elsewhere
     /// are all 1 and never clash.
     live: Vec<usize>,
-    /// Node id of each visited `(depth, capacities)` state.
-    seen: HashMap<(usize, Vec<u64>), u32>,
+    /// Mixed-radix weight of each live slot's remaining capacity (radix
+    /// `extent + 1`, scaled by 7 so the depth fills the lowest digit).
+    weights: Vec<u64>,
+    /// The state at each depth: `remaining[d * live.len()..][..live.len()]`
+    /// is the capacity left when dimension `d` chooses.
+    remaining: Vec<u64>,
+    /// Node id of each visited state, keyed `depth + Σ left · weight`.
+    seen: HashMap<u64, u32>,
     nodes: Vec<Node>,
     arcs: Vec<GroupArc>,
 }
 
 impl RegionCounter<'_> {
     /// The node of the state where dimension `depth` chooses next with
-    /// `remaining` capacity left, built on first visit.
-    fn visit(&mut self, depth: usize, remaining: Vec<u64>) -> u32 {
+    /// `self.remaining`'s row `depth` left, built on first visit.
+    fn visit(&mut self, depth: usize) -> u32 {
         if depth == 7 {
             return DONE;
         }
-        let key = (depth, remaining);
+        let width = self.live.len();
+        let at = depth * width;
+        let key = self.remaining[at..at + width]
+            .iter()
+            .zip(&self.weights)
+            .fold(depth as u64, |key, (&left, &weight)| key + left * weight);
         if let Some(&id) = self.seen.get(&key) {
             return id;
         }
-        let remaining = &key.1;
         let table = self.tables[depth];
         let mut arcs = Vec::new();
         let mut leaves = Some(0u64);
@@ -914,10 +944,11 @@ impl RegionCounter<'_> {
         let mut g = 0;
         while g < table.num_groups() {
             let counts = table.counts(g);
+            let (remaining, next) = self.remaining[at..].split_at_mut(width);
             let clash = self
                 .live
                 .iter()
-                .zip(remaining)
+                .zip(&*remaining)
                 .find(|&(&j, &left)| counts[j] > left);
             if let Some((&j, _)) = clash {
                 // Groups are sorted by signature, so every later group
@@ -926,17 +957,14 @@ impl RegionCounter<'_> {
                 g = table.skips[g * table.width + j] as usize;
                 continue;
             }
-            let next = self
-                .live
-                .iter()
-                .zip(remaining)
-                .map(|(&j, &left)| match counts[j] {
+            for ((next, &j), &left) in next.iter_mut().zip(&self.live).zip(&*remaining) {
+                *next = match counts[j] {
                     1 => left,
                     _ if self.exclusive => 1,
                     c => left / c,
-                })
-                .collect();
-            let child = self.visit(depth + 1, next);
+                };
+            }
+            let child = self.visit(depth + 1);
             let below = &self.nodes[child as usize];
             // A state no group fits contributes nothing; drop its arc.
             if below.regions > 0 {
@@ -967,14 +995,15 @@ impl RegionCounter<'_> {
 }
 
 /// The region-search nodes, their arcs, and the root's id (node
-/// [`DONE`] is the terminal state).
+/// [`DONE`] is the terminal state), or `None` when the capacity states
+/// do not fit a 64-bit key.
 fn count_regions(
     space: &Mapspace,
     layout: &SlotLayout,
     spatial_slots: &[usize],
     tables: &[DimTable],
     table_of: &[usize; 7],
-) -> (Vec<Node>, Vec<GroupArc>, u32) {
+) -> Option<(Vec<Node>, Vec<GroupArc>, u32)> {
     let extents: Vec<u64> = spatial_slots
         .iter()
         .map(|&s| {
@@ -988,11 +1017,22 @@ fn count_regions(
         })
         .collect();
     let live: Vec<usize> = (0..extents.len()).filter(|&j| extents[j] > 1).collect();
-    let capacity = live.iter().map(|&j| extents[j]).collect();
+    let mut span = 7u64;
+    let mut weights = Vec::with_capacity(live.len());
+    for &j in &live {
+        weights.push(span);
+        span = span.checked_mul(extents[j].checked_add(1)?)?;
+    }
+    // Row 0 is the root state; row 7, the states below the last
+    // dimension, is written but never read.
+    let mut remaining: Vec<u64> = live.iter().map(|&j| extents[j]).collect();
+    remaining.resize(8 * live.len(), 0);
     let mut counter = RegionCounter {
         tables: std::array::from_fn(|di| &tables[table_of[di]]),
         exclusive: space.constraints().exclusive_spatial(),
         live,
+        weights,
+        remaining,
         seen: HashMap::new(),
         nodes: vec![Node {
             arcs: 0..0,
@@ -1001,8 +1041,8 @@ fn count_regions(
         }],
         arcs: Vec::new(),
     };
-    let root = counter.visit(0, capacity);
-    (counter.nodes, counter.arcs, root)
+    let root = counter.visit(0);
+    Some((counter.nodes, counter.arcs, root))
 }
 
 #[cfg(test)]
@@ -1178,6 +1218,89 @@ mod tests {
                 limit: distinct - 1
             })
         );
+    }
+
+    /// The spaces of `tests/table_order_golden.rs`: every kind, the three
+    /// architecture families, and one exclusive constraint set.
+    fn golden_spaces() -> Vec<Mapspace> {
+        let conv = |m, c, p, r| ProblemShape::conv("c", 1, m, c, p, p, r, r, (1, 1));
+        let eyeriss = || presets::eyeriss_like(14, 12);
+        vec![
+            Mapspace::new(
+                presets::toy_linear(16, 1024),
+                ProblemShape::rank1("d", 96),
+                MapspaceKind::Pfm,
+            ),
+            toy(MapspaceKind::Ruby, 16, 113),
+            Mapspace::new(
+                presets::toy_linear(9, 1024),
+                ProblemShape::gemm("g", 60, 50, 7),
+                MapspaceKind::RubyS,
+            ),
+            Mapspace::new(eyeriss(), conv(16, 8, 14, 3), MapspaceKind::Pfm),
+            Mapspace::new(eyeriss(), conv(64, 32, 14, 3), MapspaceKind::RubyS),
+            Mapspace::new(
+                eyeriss(),
+                ProblemShape::gemm("g", 48, 40, 20),
+                MapspaceKind::RubyT,
+            ),
+            Mapspace::new(
+                presets::simba_like(15, 4, 4),
+                ProblemShape::gemm("g", 40, 24, 18),
+                MapspaceKind::Ruby,
+            ),
+            Mapspace::new(eyeriss(), conv(16, 6, 7, 3), MapspaceKind::RubyS)
+                .with_constraints(crate::Constraints::eyeriss_row_stationary(3, 1)),
+        ]
+    }
+
+    /// `DimTable::build` skips deduplication for every kind but Ruby-S,
+    /// taking each row index as the chain's rank; that holds only while
+    /// those walks emit strictly ascending chains.
+    #[test]
+    fn non_ruby_s_walks_emit_strictly_ascending_chains() {
+        let mut checked = 0;
+        for space in golden_spaces() {
+            if space.kind() == MapspaceKind::RubyS {
+                continue;
+            }
+            for dim in Dim::ALL {
+                let rules = space.slot_rules_full(dim);
+                let bound = space.shape().bound(dim);
+                let mut walk = ChainWalk::new(space.kind(), bound, &rules, usize::MAX);
+                walk.run().unwrap();
+                let rows: Vec<&[u64]> = walk.rows.chunks(walk.chain.len()).collect();
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "{} {dim:?}: rows not strictly ascending",
+                    space.kind()
+                );
+                checked += rows.len();
+            }
+        }
+        assert!(checked > 1000, "{checked} rows");
+    }
+
+    /// A group's signature is decoded from its packed key, not copied
+    /// from a member: it must equal every member's own loop counts.
+    #[test]
+    fn decoded_group_counts_match_every_member_chain() {
+        for space in golden_spaces() {
+            let tables = EnumTables::build(&space, &EnumLimits::default()).unwrap();
+            for dim in Dim::ALL {
+                for group in tables.groups(dim) {
+                    assert_eq!(group.counts().len(), tables.spatial_slots.len());
+                    for (chain, _) in group.entries() {
+                        let counts: Vec<u64> = tables
+                            .spatial_slots
+                            .iter()
+                            .map(|&s| chain[s + 1].div_ceil(chain[s]))
+                            .collect();
+                        assert_eq!(group.counts(), counts, "{} {dim:?} {chain:?}", space.kind());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
