@@ -1,19 +1,26 @@
-//! Criterion micro-benchmarks of `EnumTables::build`, the tabulation a
-//! cold query pays before its search can start: per mapspace kind on
-//! Eyeriss 14×12, swept over square GEMM bounds so the cost's growth
-//! with space size is visible (every point tabulates within the default
-//! limits). Two rows per point: `build` is what the permuted walk pays
-//! (tables plus region counts), `build+regions` what exhaustive and
-//! hybrid search pay (the region list, listed and sorted, on top).
+//! Criterion micro-benchmarks of `EnumTables`, the tabulation a cold
+//! query pays before its search can start: per mapspace kind on Eyeriss
+//! 14×12, swept over square GEMM bounds so the cost's growth with space
+//! size is visible (every point tabulates within the default limits).
+//! Three rows per point: `build` is what the permuted walk pays (the
+//! tables it decodes from plus region counts; Ruby and Ruby-T count
+//! their chains instead of listing them), `build+regions` what
+//! exhaustive and hybrid search pay (the region list, listed and
+//! sorted, which forces every counted table's listing too), and
+//! `decode` the walk's per-candidate cost: `leaf_into` on the first
+//! [`DECODES`] Feistel-shuffled leaves (divide its time by that count).
 //!
 //! `cargo bench -p ruby-bench --bench enum_tables`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ruby_core::mapspace::{EnumLimits, EnumTables};
+use ruby_core::mapspace::{EnumLimits, EnumTables, FeistelPermutation};
 use ruby_core::prelude::*;
 
 const BOUNDS: [u64; 4] = [64, 256, 1024, 2560];
+
+/// Leaves decoded per `decode` iteration.
+const DECODES: u64 = 1024;
 
 fn bench_build(c: &mut Criterion) {
     let arch = presets::eyeriss_like(14, 12);
@@ -32,6 +39,24 @@ fn bench_build(c: &mut Criterion) {
                 &space,
                 |b, space| b.iter(|| EnumTables::build(space, &limits).map(|t| t.regions().len())),
             );
+            let Ok(tables) = EnumTables::build(&space, &limits) else {
+                continue;
+            };
+            let Some(total) = tables.exact_total_leaves() else {
+                continue;
+            };
+            let leaves = DECODES.min(total);
+            let perm = FeistelPermutation::new(total, 1);
+            let mut mapping = Mapping::builder(arch.num_levels())
+                .build_for_bounds(space.shape().bounds())
+                .expect("default mapping");
+            group.bench_function(BenchmarkId::new("decode", bound), |b| {
+                b.iter(|| {
+                    for i in 0..leaves {
+                        tables.leaf_into(perm.shuffle(i), &mut mapping);
+                    }
+                })
+            });
         }
         group.finish();
     }

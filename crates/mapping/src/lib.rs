@@ -323,6 +323,13 @@ impl Mapping {
         dst.extend_from_slice(chain);
     }
 
+    /// The tile chain of `dim`, writable in place, for decoders that
+    /// produce a chain entry by entry. The caller keeps the invariants
+    /// [`Mapping::set_tile_chain`] lists; nothing checks them here.
+    pub fn tile_chain_mut(&mut self, dim: Dim) -> &mut [u64] {
+        &mut self.tiling[dim]
+    }
+
     /// Replaces the temporal-block permutation at `level` (innermost dim
     /// first).
     ///

@@ -14,7 +14,10 @@
 //!    reproducible with spatial factors equal to its own loop counts
 //!    (clamped slots have `count = ceil(bound/cum)`, the largest factor
 //!    the sampler may draw there), so signature-level bookkeeping loses
-//!    nothing.
+//!    nothing. Ruby and Ruby-T, whose free factors make the large
+//!    tables, *count* their chains per signature instead of listing
+//!    them, and the permuted walk decodes a group's members from the
+//!    counts; PFM and Ruby-S list theirs.
 //! 2. **Region counts**: a *region* is a joint combination of one
 //!    signature group per dimension that satisfies shared fanout (the
 //!    per-slot product of counts fits the axis extent — equivalent to
@@ -31,9 +34,9 @@
 //!    ([`crate::PermutedIterator`]) without listing anything.
 //! 3. **Regions** ([`EnumTables::regions`]): the regions themselves,
 //!    listed from the same nodes on first use (exhaustive search needs
-//!    them; the permuted walk does not) and sorted by their *cycle
-//!    floor* (product of per-dimension minimal sequential steps),
-//!    cheapest-possible first.
+//!    them, and listing them lists every counted table too; the permuted
+//!    walk needs neither) and sorted by their *cycle floor* (product of
+//!    per-dimension minimal sequential steps), cheapest-possible first.
 //! 4. **[`SubspaceIterator`]**: a resumable mixed-radix walk over one
 //!    region's leaf index range `[start, end)`. Disjoint ranges touch
 //!    disjoint mappings, so threads split work by index arithmetic
@@ -47,24 +50,43 @@
 //! # Layout
 //!
 //! A table is a handful of flat arrays, not a tree of small vectors.
-//! Generation appends every chain as one fixed-stride row
-//! (`num_slots + 1` values) to a `Vec<u64>` arena. The PFM, Ruby and
-//! Ruby-T walks emit strictly ascending chains (factors ascend, the
-//! innermost slot is chosen first, and only a slot's last factor
-//! clamps), so their row index already is the chain's rank; only Ruby-S,
-//! which chooses spatial factors before temporal ones, repeats chains and
-//! deduplicates by sorting the rows (a stable sort, so the sorted runs
-//! its walk emits merge cheaply). A signature packs into one mixed-radix
-//! number (digit `count - 1` per spatial slot, radix `min(cap, bound)`,
-//! innermost slot most significant, so numeric order is lexicographic
-//! order), and grouping is one sort of packed `(signature, steps, chain
-//! rank)` keys: a group starts wherever the signature changes, and its
-//! counts decode from the key. Afterwards a table holds the arena, each
-//! entry's arena row and steps in table order, and per group only the
-//! range of its entries and its signature. Dimensions with equal bounds
-//! and slot rules share one table. The region nodes and their arcs are
-//! two flat arrays as well, and the search keys each capacity state by
-//! one integer.
+//!
+//! *Listing* (PFM and Ruby-S at build time; Ruby and Ruby-T only on
+//! first use, behind a `OnceLock`, for [`GroupView::entries`],
+//! [`EnumTables::regions`] and [`SubspaceIterator`]). Generation appends
+//! every chain as one fixed-stride row (`num_slots + 1` values) to a
+//! `Vec<u64>` arena. The PFM, Ruby and Ruby-T walks emit strictly
+//! ascending chains (factors ascend, the innermost slot is chosen first,
+//! and only a slot's last factor clamps), so their row index already is
+//! the chain's rank; only Ruby-S, which chooses spatial factors before
+//! temporal ones, repeats chains and deduplicates by sorting the rows (a
+//! stable sort, so the sorted runs its walk emits merge cheaply). A
+//! signature packs into one mixed-radix number (digit `count - 1` per
+//! spatial slot, radix `min(cap, bound)`, innermost slot most
+//! significant, so numeric order is lexicographic order), and grouping
+//! is one sort of packed `(signature, steps, chain rank)` keys: a group
+//! starts wherever the signature changes, and its counts decode from the
+//! key. A listing holds the arena and each entry's arena row and steps
+//! in table order.
+//!
+//! *Counting* (Ruby and Ruby-T at build time). The walk is a DAG over
+//! `(slot, tile)` states, and its paths are exactly the distinct chains.
+//! Each state splits into nodes by signature suffix (the digits of the
+//! spatial slots at or outside it) and counts its completions per
+//! suffix; the root's nodes are the groups, with their sizes. The counts
+//! are three flat arrays: each node's tile, the start of its arcs, and
+//! the arcs, each naming its successor node and the completions under
+//! the node's earlier arcs. A spatial node has one arc (its factor is
+//! its digit); a temporal node's arcs run over its successors by
+//! ascending tile, so decoding member `k` descends by one binary search
+//! per temporal slot. Slots that can only take factor 1 have no nodes.
+//! Counting also decides refusal: `max_entries_per_dim` is compared
+//! with the counted size, before anything is listed.
+//!
+//! Either way, a table keeps per group only the range of its entries and
+//! its signature, and dimensions with equal bounds and slot rules share
+//! one table. The region nodes and their arcs are two flat arrays as
+//! well, and the search keys each capacity state by one integer.
 //!
 //! # Order contract
 //!
@@ -74,16 +96,19 @@
 //!
 //! * groups by signature, lexicographically (innermost spatial slot
 //!   first);
-//! * entries within a group by `(steps, chain)`, cheapest first, so
-//!   leaf 0 of every region is its fastest member;
+//! * listed entries within a group by `(steps, chain)`, cheapest first,
+//!   so leaf 0 of every listed region is its fastest member;
 //! * the global leaf index (the permuted walk's space) runs over regions
 //!   in *group-tuple* order — lexicographic over the per-dimension group
 //!   indices in [`Dim::ALL`] order — and within a region in
-//!   [`SubspaceIterator`]'s mixed-radix order;
+//!   [`SubspaceIterator`]'s mixed-radix order over each group's members
+//!   in *walk order*: table order for PFM and Ruby-S, while counted
+//!   groups (Ruby, Ruby-T) walk in ascending chain order;
 //! * [`EnumTables::regions`] lists regions in *cycle-floor* order, by
 //!   `(min_steps, group tuple)`, which is unique per region.
 //!
-//! `tests/table_order_golden.rs` pins both orders.
+//! `tests/table_order_golden.rs` pins the listed order and the walk
+//! order.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -98,7 +123,9 @@ use crate::space::{Mapspace, MapspaceKind, SlotRule};
 /// Size guards for table construction. Enumeration is only worthwhile
 /// when the deduplicated per-dimension support is modest; past these
 /// limits [`EnumTables::build`] returns an error and callers fall back
-/// to random sampling.
+/// to random sampling. Both limits are checked against counts: Ruby and
+/// Ruby-T count their chains without listing them, PFM and Ruby-S stop
+/// listing once the limit is passed, and regions are always counted.
 #[derive(Debug, Clone, Copy)]
 pub struct EnumLimits {
     /// Maximum deduplicated chains per dimension (at most
@@ -151,21 +178,48 @@ impl std::fmt::Display for EnumError {
 
 impl std::error::Error for EnumError {}
 
+/// Whether `kind`'s tables count their chains instead of listing them.
+/// Ruby and Ruby-T draw their factors freely, which makes their tables
+/// the large ones (~B·ln B chains per free temporal slot), and their
+/// walk never repeats a chain, so its paths count chains exactly. PFM's
+/// divisor chains are few, and Ruby-S's walk repeats chains, so path
+/// counts would over-count them.
+fn counts_chains(kind: MapspaceKind) -> bool {
+    matches!(kind, MapspaceKind::Ruby | MapspaceKind::RubyT)
+}
+
+/// Mixed-radix weights of a signature's digits, one per spatial slot:
+/// slot `j`'s digit is `count - 1 < min(cap, bound)`, and the innermost
+/// slot is most significant, so numeric order is lexicographic order.
+/// `None` when a signature does not pack into 32 bits.
+fn signature_weights(bound: u64, rules: &[SlotRule]) -> Option<Vec<u64>> {
+    let mut weights = Vec::new();
+    let mut span = 1u64;
+    for rule in rules.iter().rev().filter(|r| r.spatial) {
+        weights.push(span);
+        span = span.checked_mul(rule.cap.unwrap_or(bound).min(bound))?;
+    }
+    weights.reverse();
+    (span <= 1 << 32).then_some(weights)
+}
+
+/// A table's signature groups: each group's packed signature, ascending,
+/// and where its entries start (plus one past the last entry).
+struct Groups {
+    sigs: Vec<u64>,
+    starts: Vec<u32>,
+}
+
 /// One dimension's deduplicated chains, grouped by spatial signature
 /// (loop counts at every spatial slot, innermost first).
 #[derive(Debug, Clone)]
 struct DimTable {
-    /// Chain length: slots + 1.
-    stride: usize,
-    /// Chain arena in generation order; row `r` is
-    /// `rows[r * stride..(r + 1) * stride]`. Rows no entry names are
-    /// duplicates.
-    rows: Vec<u64>,
-    /// Entry `e`'s arena row, in table order.
-    entry_rows: Vec<u32>,
-    /// Entry `e`'s sequential step count (the dimension's contribution
-    /// to compute cycles).
-    steps: Vec<u64>,
+    kind: MapspaceKind,
+    bound: u64,
+    /// The slot rules the chains follow, innermost slot first.
+    rules: Vec<SlotRule>,
+    /// See [`signature_weights`].
+    weights: Vec<u64>,
     /// Group `g` owns entries `starts[g]..starts[g + 1]`.
     starts: Vec<u32>,
     /// Signature length: the number of spatial slots.
@@ -176,87 +230,36 @@ struct DimTable {
     /// differs from `g`'s before slot `j` — where the region search
     /// resumes once `g` fails at slot `j`.
     skips: Vec<u32>,
+    /// Ruby and Ruby-T: the chain counts the permuted walk decodes from.
+    counted: Option<ChainCounts>,
+    /// Every entry's chain and steps in table order: listed with the
+    /// table for PFM and Ruby-S, on first use for counted tables.
+    listing: OnceLock<Listing>,
 }
 
 impl DimTable {
     /// Tabulates one dimension, or `None` when its deduplicated chains
     /// outgrow `limit` or its signatures do not pack into 32 bits.
-    fn build(
-        kind: MapspaceKind,
-        bound: u64,
-        rules: &[SlotRule],
-        layout: &SlotLayout,
-        spatial_slots: &[usize],
-        limit: usize,
-    ) -> Option<Self> {
-        let mut walk = ChainWalk::new(kind, bound, rules, limit);
-        walk.run().ok()?;
-        let stride = walk.chain.len();
-        let mut rows = walk.rows;
-        rows.shrink_to_fit();
-        let row = |r: u32| &rows[r as usize * stride..][..stride];
-        // Only Ruby-S's spatial-first walk repeats chains or emits them
-        // out of order; the other walks emit strictly ascending chains,
-        // so their row index already is the chain rank.
-        let unique = (kind == MapspaceKind::RubyS).then(|| sorted_unique(&rows, stride));
-        let rank_row = |rank: u32| unique.as_ref().map_or(rank, |u| u[rank as usize]);
-        let distinct = unique.as_ref().map_or(rows.len() / stride, Vec::len);
-        debug_assert!(
-            unique.is_some() || (1..distinct as u32).all(|r| row(r - 1) < row(r)),
-            "{kind} walk emitted chains out of order"
-        );
-
-        // A signature packs into one mixed-radix number, innermost slot
-        // most significant, so numeric order is lexicographic order.
-        // Slot `j`'s digit is `count - 1 < min(cap, bound)`.
-        let width = spatial_slots.len();
-        let mut weights = vec![0u64; width];
-        let mut span = 1u64;
-        for (weight, &s) in weights.iter_mut().zip(spatial_slots).rev() {
-            *weight = span;
-            let radix = rules[s].cap.unwrap_or(bound).min(bound);
-            span = span.checked_mul(radix)?;
-        }
-        if span > 1 << 32 {
-            return None;
-        }
-
-        // One packed key per distinct chain: (signature, steps, chain
-        // rank); a single sort puts them in table order.
-        let mut scratch = ProfileScratch::new();
-        let mut keys: Vec<u128> = Vec::with_capacity(distinct);
-        for rank in 0..distinct as u32 {
-            let chain = row(rank_row(rank));
-            let sig: u64 = spatial_slots
-                .iter()
-                .zip(&weights)
-                .map(|(&s, &weight)| (chain[s + 1].div_ceil(chain[s]) - 1) * weight)
-                .sum();
-            let steps = profile::sequential_steps_with(chain, layout, &mut scratch);
-            keys.push(u128::from(sig) << 96 | u128::from(steps) << 32 | u128::from(rank));
-        }
-        keys.sort_unstable();
-
-        let mut entry_rows = Vec::with_capacity(distinct);
-        let mut steps = Vec::with_capacity(distinct);
-        let mut starts = Vec::new();
-        let mut counts = Vec::new();
-        let mut prev_sig = None;
-        for key in keys {
-            let sig = (key >> 96) as u64;
-            if prev_sig != Some(sig) {
-                prev_sig = Some(sig);
-                starts.push(steps.len() as u32);
-                let mut rest = sig;
-                for &weight in &weights {
-                    counts.push(rest / weight + 1);
-                    rest %= weight;
-                }
+    fn build(kind: MapspaceKind, bound: u64, rules: Vec<SlotRule>, limit: usize) -> Option<Self> {
+        let weights = signature_weights(bound, &rules)?;
+        let limit = limit.min(u32::MAX as usize - 1);
+        let (groups, counted, listing) = if counts_chains(kind) {
+            let (counts, groups) = ChainCounts::build(kind, bound, &rules, &weights, limit)?;
+            (groups, Some(counts), OnceLock::new())
+        } else {
+            let (listing, groups) = Listing::build(kind, bound, &rules, &weights, limit)?;
+            (groups, None, OnceLock::from(listing))
+        };
+        let Groups { sigs, starts } = groups;
+        let width = weights.len();
+        let mut counts = Vec::with_capacity(sigs.len() * width);
+        for sig in sigs {
+            let mut rest = sig;
+            for &weight in &weights {
+                counts.push(rest / weight + 1);
+                rest %= weight;
             }
-            steps.push((key >> 32) as u64);
-            entry_rows.push(rank_row(key as u32));
         }
-        starts.push(steps.len() as u32);
         let groups = starts.len() - 1;
         let mut skips = vec![0u32; groups * width];
         for g in (0..groups).rev() {
@@ -275,14 +278,16 @@ impl DimTable {
             }
         }
         Some(DimTable {
-            stride,
-            rows,
-            entry_rows,
-            steps,
+            kind,
+            bound,
+            rules,
+            weights,
             starts,
             width,
             counts,
             skips,
+            counted,
+            listing,
         })
     }
 
@@ -296,11 +301,123 @@ impl DimTable {
 
     /// The cheapest sequential steps in `group` (its first entry).
     fn min_steps(&self, group: usize) -> u64 {
-        self.steps[self.starts[group] as usize]
+        self.listing().steps[self.starts[group] as usize]
     }
 
     fn counts(&self, group: usize) -> &[u64] {
         &self.counts[group * self.width..][..self.width]
+    }
+
+    /// The table's chains in table order, listed on first use.
+    fn listing(&self) -> &Listing {
+        self.listing.get_or_init(|| {
+            let (kind, bound) = (self.kind, self.bound);
+            let built = Listing::build(kind, bound, &self.rules, &self.weights, usize::MAX);
+            // lint: allow(panics) — only counted tables list lazily, and
+            // counting already admitted them: no limit is left to refuse.
+            let (listing, groups) = built.expect("a counted table lists");
+            debug_assert_eq!(groups.starts, self.starts, "{kind} listing vs counts");
+            listing
+        })
+    }
+
+    /// Writes `group`'s entry `k` in walk order into `chain`: ascending
+    /// chain order in a counted table, table order otherwise.
+    fn walk_chain(&self, group: usize, k: u64, chain: &mut [u64]) {
+        match &self.counted {
+            Some(counted) => counted.decode(group, k, chain),
+            None => chain.copy_from_slice(
+                self.listing()
+                    .chain(self.starts[group] as usize + k as usize),
+            ),
+        }
+    }
+}
+
+/// A table's chains in table order: each entry's arena row and steps.
+#[derive(Debug, Clone)]
+struct Listing {
+    /// Chain length: slots + 1.
+    stride: usize,
+    /// Chain arena in generation order; row `r` is
+    /// `rows[r * stride..(r + 1) * stride]`. Rows no entry names are
+    /// duplicates.
+    rows: Vec<u64>,
+    /// Entry `e`'s arena row, in table order.
+    entry_rows: Vec<u32>,
+    /// Entry `e`'s sequential step count (the dimension's contribution
+    /// to compute cycles).
+    steps: Vec<u64>,
+}
+
+impl Listing {
+    /// Walks, deduplicates and sorts one dimension's chains into table
+    /// order, or `None` when the distinct chains outgrow `limit`.
+    fn build(
+        kind: MapspaceKind,
+        bound: u64,
+        rules: &[SlotRule],
+        weights: &[u64],
+        limit: usize,
+    ) -> Option<(Self, Groups)> {
+        let mut walk = ChainWalk::new(kind, bound, rules, limit);
+        walk.run().ok()?;
+        let stride = walk.chain.len();
+        let mut rows = walk.rows;
+        rows.shrink_to_fit();
+        let row = |r: u32| &rows[r as usize * stride..][..stride];
+        // Only Ruby-S's spatial-first walk repeats chains or emits them
+        // out of order; the other walks emit strictly ascending chains,
+        // so their row index already is the chain rank.
+        let unique = (kind == MapspaceKind::RubyS).then(|| sorted_unique(&rows, stride));
+        let rank_row = |rank: u32| unique.as_ref().map_or(rank, |u| u[rank as usize]);
+        let distinct = unique.as_ref().map_or(rows.len() / stride, Vec::len);
+        debug_assert!(
+            unique.is_some() || (1..distinct as u32).all(|r| row(r - 1) < row(r)),
+            "{kind} walk emitted chains out of order"
+        );
+
+        // One packed key per distinct chain: (signature, steps, chain
+        // rank); a single sort puts them in table order.
+        let spatial_slots: Vec<usize> = (0..rules.len()).filter(|&s| rules[s].spatial).collect();
+        let layout = SlotLayout::new(rules.len() / 3);
+        let mut scratch = ProfileScratch::new();
+        let mut keys: Vec<u128> = Vec::with_capacity(distinct);
+        for rank in 0..distinct as u32 {
+            let chain = row(rank_row(rank));
+            let sig: u64 = spatial_slots
+                .iter()
+                .zip(weights)
+                .map(|(&s, &weight)| (chain[s + 1].div_ceil(chain[s]) - 1) * weight)
+                .sum();
+            let steps = profile::sequential_steps_with(chain, &layout, &mut scratch);
+            keys.push(u128::from(sig) << 96 | u128::from(steps) << 32 | u128::from(rank));
+        }
+        keys.sort_unstable();
+
+        let mut entry_rows = Vec::with_capacity(distinct);
+        let mut steps = Vec::with_capacity(distinct);
+        let mut groups = Groups {
+            sigs: Vec::new(),
+            starts: Vec::new(),
+        };
+        for key in keys {
+            let sig = (key >> 96) as u64;
+            if groups.sigs.last() != Some(&sig) {
+                groups.sigs.push(sig);
+                groups.starts.push(steps.len() as u32);
+            }
+            steps.push((key >> 32) as u64);
+            entry_rows.push(rank_row(key as u32));
+        }
+        groups.starts.push(steps.len() as u32);
+        let listing = Listing {
+            stride,
+            rows,
+            entry_rows,
+            steps,
+        };
+        Some((listing, groups))
     }
 
     fn chain(&self, entry: usize) -> &[u64] {
@@ -342,10 +459,27 @@ impl<'a> GroupView<'a> {
     /// Every member's tile chain with its sequential steps, in table
     /// order (cheapest first, ties by chain).
     pub fn entries(&self) -> impl ExactSizeIterator<Item = (&'a [u64], u64)> + 'a {
-        let table = self.table;
-        table
+        let listing = self.table.listing();
+        self.table
             .entries(self.group)
-            .map(move |e| (table.chain(e), table.steps[e]))
+            .map(move |e| (listing.chain(e), listing.steps[e]))
+    }
+
+    /// The number of member chains, known without listing them.
+    pub fn num_entries(&self) -> usize {
+        self.table.entries(self.group).len()
+    }
+
+    /// Writes member `k` in the permuted walk's order into `chain`
+    /// (`num_slots + 1` long): ascending chain order for Ruby and Ruby-T,
+    /// whose groups are counted, and table order otherwise.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or write an arbitrary chain, unless `k` is below
+    /// [`GroupView::num_entries`] and `chain` has the layout's length.
+    pub fn walk_chain(&self, k: usize, chain: &mut [u64]) {
+        self.table.walk_chain(self.group, k as u64, chain);
     }
 }
 
@@ -437,27 +571,24 @@ impl EnumTables {
             .map(|s| s.index())
             .collect();
 
-        let mut tables = Vec::with_capacity(7);
-        let mut tabulated: Vec<(u64, Vec<SlotRule>)> = Vec::with_capacity(7);
+        let mut tables: Vec<DimTable> = Vec::with_capacity(7);
         let mut table_of = [0usize; 7];
         for (di, dim) in Dim::ALL.into_iter().enumerate() {
             let bound = space.shape().bound(dim);
             let rules = space.slot_rules_full(dim);
             // Equal bounds and slot rules give equal tables.
-            if let Some(t) = tabulated
+            if let Some(t) = tables
                 .iter()
-                .position(|(b, r)| *b == bound && *r == rules)
+                .position(|t| t.bound == bound && t.rules == rules)
             {
                 table_of[di] = t;
                 continue;
             }
             let limit = limits.max_entries_per_dim;
-            let table =
-                DimTable::build(space.kind(), bound, &rules, &layout, &spatial_slots, limit)
-                    .ok_or(EnumError::DimTooLarge { dim, limit })?;
+            let table = DimTable::build(space.kind(), bound, rules, limit)
+                .ok_or(EnumError::DimTooLarge { dim, limit })?;
             table_of[di] = tables.len();
             tables.push(table);
-            tabulated.push((bound, rules));
         }
 
         let too_many = EnumError::TooManyRegions {
@@ -551,35 +682,31 @@ impl EnumTables {
 
     /// Writes the mapping at global leaf `index` (group-tuple order, see
     /// the module's order contract) into `out`, leaving permutations
-    /// untouched, and returns its exact sequential step count. Each
-    /// dimension picks the arc whose leaf range holds the index, then
-    /// splits the rest of the index in [`SubspaceIterator`]'s
-    /// mixed-radix order.
+    /// untouched. Each dimension picks the arc whose leaf range holds the
+    /// index, then splits the rest of the index in [`SubspaceIterator`]'s
+    /// mixed-radix order over the groups' members in walk order (see
+    /// [`GroupView::walk_chain`]).
     ///
     /// # Panics
     ///
     /// May panic, or decode an arbitrary mapping, unless `index` is
-    /// below [`EnumTables::exact_total_leaves`].
-    pub fn leaf_into(&self, index: u64, out: &mut Mapping) -> u64 {
+    /// below [`EnumTables::exact_total_leaves`] and `out` has this
+    /// space's layout.
+    pub fn leaf_into(&self, index: u64, out: &mut Mapping) {
         let mut node = self.root;
         let mut idx = index;
-        let mut steps = 1u64;
         for (di, dim) in Dim::ALL.into_iter().enumerate() {
             let arcs = self.arcs_of(node);
             // The first arc starts at 0 <= idx, so the point is >= 1.
             let arc = arcs[arcs.partition_point(|a| a.before <= idx) - 1];
             idx -= arc.before;
             node = arc.child;
-            // The same mixed-radix step as `SubspaceIterator::next_into`.
             let table = self.table(di);
-            let entries = table.entries(arc.group as usize);
-            let radix = entries.len() as u64;
-            let entry = entries.start + (idx % radix) as usize;
+            let group = arc.group as usize;
+            let radix = table.entries(group).len() as u64;
+            table.walk_chain(group, idx % radix, out.tile_chain_mut(dim));
             idx /= radix;
-            out.set_tile_chain(dim, table.chain(entry));
-            steps = steps.saturating_mul(table.steps[entry]);
         }
-        steps
     }
 
     /// Every region, sorted by `(min_steps, group tuple)`.
@@ -677,12 +804,13 @@ impl<'a> SubspaceIterator<'a> {
         let mut steps = 1u64;
         for (di, dim) in Dim::ALL.into_iter().enumerate() {
             let table = self.tables.table(di);
+            let listing = table.listing();
             let entries = table.entries(self.region.group[di] as usize);
             let radix = entries.len() as u64;
             let entry = entries.start + (idx % radix) as usize;
             idx /= radix;
-            out.set_tile_chain(dim, table.chain(entry));
-            steps = steps.saturating_mul(table.steps[entry]);
+            out.set_tile_chain(dim, listing.chain(entry));
+            steps = steps.saturating_mul(listing.steps[entry]);
         }
         Some(steps)
     }
@@ -893,6 +1021,275 @@ impl<'a> ChainWalk<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// The factors [`ChainWalk::free`] draws at `rule`'s slot from tile
+/// `cum`, ascending: `[1, ceil(bound/cum)]`, within the cap at a spatial
+/// slot, where Ruby-T takes only the divisors of the bound (`divisors`,
+/// ascending).
+fn free_factors<'d>(
+    kind: MapspaceKind,
+    rule: SlotRule,
+    bound: u64,
+    cum: u64,
+    divisors: &'d [u64],
+) -> impl Iterator<Item = u64> + 'd {
+    let needed = bound.div_ceil(cum);
+    let cap = if rule.spatial {
+        rule.cap.unwrap_or(u64::MAX).min(needed)
+    } else {
+        needed
+    };
+    // Exactly one of the two parts is nonempty.
+    let (free, divisors) = if rule.spatial && kind == MapspaceKind::RubyT {
+        (0, &divisors[..divisors.partition_point(|&f| f <= cap)])
+    } else {
+        (cap, &[][..])
+    };
+    (1..=free).chain(divisors.iter().copied())
+}
+
+/// Ruby and Ruby-T: one dimension's chains, counted instead of listed.
+///
+/// [`ChainWalk::free`] is a DAG over `(slot, tile)` states: the factors
+/// a slot may take depend only on the tile the inner slots left, and
+/// distinct factors leave distinct tiles, so the DAG's paths are exactly
+/// the distinct chains. Only *choice* slots, which can take a factor
+/// above 1, have states; every other slot keeps its tile. A *node* is a
+/// state together with a signature suffix (the digits of the spatial
+/// slots at or outside its slot); it counts the state's completions that
+/// carry that suffix. A spatial slot's factor is its digit, so a node
+/// there has one arc; a temporal node's arcs are the successor nodes
+/// with its suffix, by ascending tile, each holding the completions
+/// under the arcs before it. Group `g` is root node `g`, and descending
+/// from it by those counts decodes the group's `k`-th chain in ascending
+/// chain order.
+#[derive(Debug, Clone)]
+struct ChainCounts {
+    bound: u64,
+    /// The choice slots, innermost first: every slot but the outermost
+    /// (whose factor is stretched to the bound) whose radix exceeds 1.
+    choices: Vec<usize>,
+    /// Node `n`'s tile: the chain entry before its slot.
+    tiles: Vec<u64>,
+    /// Node `n`'s arcs are `arcs[first_arc[n]..first_arc[n + 1]]`; the
+    /// nodes after the last choice slot have none.
+    first_arc: Vec<u32>,
+    arcs: Vec<ChainArc>,
+    /// Group `g` is node `root + g`.
+    root: u32,
+}
+
+/// One way a node's chains continue: to node `to` at the next choice
+/// slot.
+#[derive(Debug, Clone, Copy)]
+struct ChainArc {
+    /// Completions under the node's earlier arcs: this arc's first one,
+    /// counted from the node's first.
+    before: u32,
+    to: u32,
+}
+
+impl ChainCounts {
+    /// Counts the chains [`ChainWalk::free`] would list, per signature,
+    /// returning the counts and the groups: every signature that has
+    /// chains, ascending, with their sizes. `None` once the chains
+    /// outgrow `limit` (`<= u32::MAX - 1`): every state, node and arc at
+    /// a slot lies on a distinct chain, so the build gives up as soon as
+    /// any slot holds more of them than `limit`, or a node counts more.
+    fn build(
+        kind: MapspaceKind,
+        bound: u64,
+        rules: &[SlotRule],
+        weights: &[u64],
+        limit: usize,
+    ) -> Option<(Self, Groups)> {
+        let slots = rules.len();
+        let mut weight_at = vec![0u64; slots];
+        let spatial = (0..slots).filter(|&s| rules[s].spatial);
+        for (s, &weight) in spatial.zip(weights) {
+            weight_at[s] = weight;
+        }
+        let choices: Vec<usize> = (0..slots - 1)
+            .filter(|&s| rules[s].cap.unwrap_or(bound).min(bound) > 1)
+            .collect();
+        let divisors = match kind {
+            MapspaceKind::RubyT => factor::divisors(bound),
+            _ => Vec::new(),
+        };
+        let factors =
+            |slot: usize, cum: u64| free_factors(kind, rules[slot], bound, cum, &divisors);
+        let advance = |cum: u64, f: u64| cum.saturating_mul(f).min(bound);
+
+        // The tiles reachable before each choice slot (and after the
+        // last one), ascending. Up to the first temporal slot only
+        // products of spatial factors are; after it every tile in
+        // 1..=bound is (from tile 1 it may draw any factor up to the
+        // bound, and factor 1 keeps every tile).
+        let levels = choices.len() + 1;
+        let mut sparse = vec![vec![1u64]];
+        for (level, &slot) in choices.iter().enumerate() {
+            if !rules[slot].spatial {
+                break;
+            }
+            let mut next: Vec<u64> = sparse[level]
+                .iter()
+                .flat_map(|&cum| factors(slot, cum).map(move |f| advance(cum, f)))
+                .collect();
+            next.sort_unstable();
+            next.dedup();
+            if next.len() > limit {
+                return None;
+            }
+            sparse.push(next);
+        }
+        let dense_from = sparse.len();
+        if dense_from < levels && bound > limit as u64 {
+            return None;
+        }
+        let states_at = |level: usize| {
+            if level >= dense_from {
+                bound as usize
+            } else {
+                sparse[level].len()
+            }
+        };
+        let tile_at = |level: usize, state: usize| {
+            if level >= dense_from {
+                state as u64 + 1
+            } else {
+                sparse[level][state]
+            }
+        };
+        let state_of = |level: usize, tile: u64| {
+            if level >= dense_from {
+                tile as usize - 1
+            } else {
+                sparse[level].partition_point(|&t| t < tile)
+            }
+        };
+
+        // Outermost level first, so every successor already has its nodes.
+        let mut dag = ChainCounts {
+            bound,
+            choices,
+            tiles: Vec::new(),
+            first_arc: Vec::new(),
+            arcs: Vec::new(),
+            root: 0,
+        };
+        // Per node, during the build only: its suffix and its count.
+        let mut suffix: Vec<u32> = Vec::new();
+        let mut count: Vec<u32> = Vec::new();
+        // The states of the level after the current one: state `k` owns
+        // nodes `next[k]..next[k + 1]`.
+        let mut next: Vec<u32> = Vec::new();
+        // A state's successor nodes as `(suffix with this slot's digit,
+        // node)`, by ascending successor tile.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for level in (0..levels).rev() {
+            let (level_nodes, level_arcs) = (dag.tiles.len(), dag.arcs.len());
+            let mut nodes = Vec::with_capacity(states_at(level) + 1);
+            for state in 0..states_at(level) {
+                let cum = tile_at(level, state);
+                nodes.push(dag.tiles.len() as u32);
+                let Some(&slot) = dag.choices.get(level) else {
+                    // After the last choice: one completion.
+                    dag.tiles.push(cum);
+                    dag.first_arc.push(dag.arcs.len() as u32);
+                    suffix.push(0);
+                    count.push(1);
+                    continue;
+                };
+                pairs.clear();
+                for f in factors(slot, cum) {
+                    let to = state_of(level + 1, advance(cum, f));
+                    // The digit is below the weight, which bounds every
+                    // suffix after it, so the sum stays below 2^32.
+                    let digit = ((f - 1) * weight_at[slot]) as u32;
+                    let below = next[to]..next[to + 1];
+                    pairs.extend(below.map(|m| (digit + suffix[m as usize], m)));
+                }
+                let spatial = rules[slot].spatial;
+                if !spatial {
+                    // Stable: successors keep their tile order per suffix.
+                    pairs.sort_by_key(|&(s, _)| s);
+                }
+                // A spatial slot's digits already make every suffix
+                // distinct and ascending: one node per pair.
+                for run in pairs.chunk_by(|a, b| !spatial && a.0 == b.0) {
+                    dag.tiles.push(cum);
+                    dag.first_arc.push(dag.arcs.len() as u32);
+                    let mut before = 0u32;
+                    for &(_, m) in run {
+                        dag.arcs.push(ChainArc { before, to: m });
+                        before = before
+                            .checked_add(count[m as usize])
+                            .filter(|&c| c as usize <= limit)?;
+                    }
+                    suffix.push(run[0].0);
+                    count.push(before);
+                }
+                if dag.tiles.len() - level_nodes > limit || dag.arcs.len() - level_arcs > limit {
+                    return None;
+                }
+            }
+            nodes.push(dag.tiles.len() as u32);
+            next = nodes;
+        }
+        dag.first_arc.push(dag.arcs.len() as u32);
+        dag.root = next[0];
+        let roots = next[0] as usize..next[1] as usize;
+        let mut groups = Groups {
+            sigs: Vec::with_capacity(roots.len()),
+            starts: Vec::with_capacity(roots.len() + 1),
+        };
+        let mut total = 0u32;
+        for n in roots {
+            groups.sigs.push(u64::from(suffix[n]));
+            groups.starts.push(total);
+            total = total
+                .checked_add(count[n])
+                .filter(|&t| t as usize <= limit)?;
+        }
+        groups.starts.push(total);
+        Some((dag, groups))
+    }
+
+    /// Writes `group`'s `k`-th chain, in ascending chain order, into
+    /// `chain`.
+    fn decode(&self, group: usize, k: u64, chain: &mut [u64]) {
+        let mut node = self.root as usize + group;
+        // Entries are indexed by `u32`.
+        let mut k = k as u32;
+        let mut tile = 1;
+        let mut written = 0;
+        for &slot in &self.choices {
+            let arcs = &self.arcs[self.first_arc[node] as usize..self.first_arc[node + 1] as usize];
+            // Every arc counts at least one completion, so `before`
+            // rises by at least 1 per arc; when the last one reads
+            // `len - 1`, all arcs but the last count exactly one (always
+            // so for a single arc, and for the successors of the last
+            // choice slot) and arc `k` is found without a search.
+            let last = arcs.len() - 1;
+            let at = if arcs[last].before as usize == last {
+                (k as usize).min(last)
+            } else {
+                // The first arc starts at 0 <= k, so the point is >= 1.
+                arcs.partition_point(|a| a.before <= k) - 1
+            };
+            let arc = arcs[at];
+            k -= arc.before;
+            node = arc.to as usize;
+            // Slots up to this one kept the tile; this one moves it.
+            chain[written..=slot].fill(tile);
+            tile = self.tiles[node];
+            written = slot + 1;
+        }
+        let last = chain.len() - 1;
+        chain[written..last].fill(tile);
+        chain[last] = self.bound;
     }
 }
 
@@ -1301,6 +1698,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A counted table's decode structure must stay smaller than the
+    /// listing it replaces on the walk's path.
+    #[test]
+    fn chain_counts_hold_less_than_the_listing() {
+        use std::mem::size_of;
+        let mut checked = 0;
+        for space in golden_spaces() {
+            let tables = EnumTables::build(&space, &EnumLimits::default()).unwrap();
+            for table in tables.tables.iter().filter(|t| t.num_groups() > 1) {
+                let Some(counted) = &table.counted else {
+                    continue;
+                };
+                let listing = table.listing();
+                let listed = listing.rows.len() * size_of::<u64>()
+                    + listing.entry_rows.len() * size_of::<u32>()
+                    + listing.steps.len() * size_of::<u64>();
+                let held = counted.tiles.len() * size_of::<u64>()
+                    + counted.first_arc.len() * size_of::<u32>()
+                    + counted.arcs.len() * size_of::<ChainArc>();
+                assert!(held < listed, "{}: {held} vs {listed} bytes", space.kind());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 5, "{checked} counted tables");
     }
 
     #[test]

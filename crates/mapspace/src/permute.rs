@@ -25,7 +25,8 @@
 //! a single global index range `[0, total_leaves)`, and the iterator
 //! walks that range in shuffled order. Each visited index is decoded
 //! by descending the tables' memoized region counts — one binary search
-//! per dimension — in the *group-tuple* order of the module-level order
+//! per dimension — and, in Ruby and Ruby-T spaces, each group's chain
+//! counts, in the *group-tuple* and walk order of the module-level order
 //! contract in [`crate::enumerate`], not the cycle-floor order of
 //! [`EnumTables::regions`], which the walk never lists. A permuted walk
 //! is still an indexed walk: the cursor is the permutation *position*,
@@ -196,15 +197,16 @@ impl<'a> PermutedIterator<'a> {
 
     /// Decodes the mapping at the next shuffled position into `out`
     /// (permutation loop orders are left untouched, exactly like
-    /// [`crate::SubspaceIterator::next_into`]) and returns `(global
-    /// index, sequential steps)`, or `None` when the range is exhausted.
-    pub fn next_into(&mut self, out: &mut Mapping) -> Option<(u64, u64)> {
+    /// [`crate::SubspaceIterator::next_into`]) and returns its global
+    /// leaf index, or `None` when the range is exhausted.
+    pub fn next_into(&mut self, out: &mut Mapping) -> Option<u64> {
         if self.pos >= self.end {
             return None;
         }
         let global = self.perm.shuffle(self.pos);
         self.pos += 1;
-        Some((global, self.tables.leaf_into(global, out)))
+        self.tables.leaf_into(global, out);
+        Some(global)
     }
 }
 
@@ -326,7 +328,7 @@ mod tests {
         let whole: Vec<u64> = {
             let mut it = PermutedIterator::new(&tables, 5, 0, total).unwrap();
             let mut v = Vec::new();
-            while let Some((global, _)) = it.next_into(&mut mapping) {
+            while let Some(global) = it.next_into(&mut mapping) {
                 v.push(global);
             }
             v
@@ -335,7 +337,7 @@ mod tests {
         let mut split = Vec::new();
         for (a, b) in [(0, mid), (mid, total)] {
             let mut it = PermutedIterator::new(&tables, 5, a, b).unwrap();
-            while let Some((global, _)) = it.next_into(&mut mapping) {
+            while let Some(global) = it.next_into(&mut mapping) {
                 split.push(global);
             }
         }

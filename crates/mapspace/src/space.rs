@@ -73,14 +73,15 @@ pub struct Mapspace {
     constraints: Constraints,
     kind: MapspaceKind,
     /// Enumeration tables, built lazily on first use and shared by
-    /// every strategy run against this space. The build walks the full
-    /// factorization lattice: over the ResNet-50 and DeepBench layers on
-    /// Eyeriss 14×12 and Simba 15,4,4 (PFM, Ruby-S, Ruby) it takes
-    /// about 4 ms at the median and 20 ms at p90 on one core of a 2-CPU
-    /// x86-64 host, more than a quick search of the space, so it must
-    /// not be repeated per search phase. `None` inside the cell records a build failure
-    /// (limits exceeded), so callers fall back to the sampler without
-    /// retrying the doomed build.
+    /// every strategy run against this space. The build lists PFM and
+    /// Ruby-S chains and counts Ruby and Ruby-T chains (listing those
+    /// only when exhaustive search asks): over the ResNet-50 and
+    /// DeepBench layers on Eyeriss 14×12 and Simba 15,4,4 (PFM, Ruby-S,
+    /// Ruby) it takes about 0.6 ms at the median and 1.6 ms at p90 on
+    /// one core of a 2-CPU x86-64 host, comparable to a quick search of
+    /// the space, so it must not be repeated per search phase. `None`
+    /// inside the cell records a refused build (a count exceeded the
+    /// limits), so callers fall back to the sampler without retrying it.
     tables: OnceLock<Option<EnumTables>>,
 }
 
@@ -122,8 +123,8 @@ impl Mapspace {
 
     /// The enumeration tables for this space, built on first call and
     /// cached for the lifetime of the value. Returns `None` when the
-    /// space exceeds [`EnumLimits::default`] (callers fall back to the
-    /// rejection sampler).
+    /// counted chains or regions exceed [`EnumLimits::default`] (callers
+    /// fall back to the rejection sampler).
     pub fn enum_tables(&self) -> Option<&EnumTables> {
         self.tables
             .get_or_init(|| EnumTables::build(self, &EnumLimits::default()).ok())

@@ -1,10 +1,13 @@
 //! Brute-force cross-checks of the mapspace counting machinery: the
 //! closed-form/DP counters must agree with naive enumeration on small
-//! inputs.
+//! inputs, and the counted chain tables must decode exactly the chains
+//! their listing holds.
 
 use proptest::prelude::*;
 
-use ruby_mapspace::factor;
+use ruby_arch::presets;
+use ruby_mapspace::{factor, EnumLimits, EnumTables, Mapspace, MapspaceKind};
+use ruby_workload::{Dim, ProblemShape};
 
 /// Naive ordered-factorization count by recursive enumeration.
 fn brute_ordered(n: u64, k: usize) -> u128 {
@@ -89,5 +92,50 @@ proptest! {
             .map(|(p, m)| p.pow(m))
             .product();
         prop_assert_eq!(product, n);
+    }
+}
+
+/// Decodes every member of every group in walk order and checks it is a
+/// bijection onto the group's listing: strictly ascending chains that
+/// are exactly the listed ones, as many as the group's counted size.
+fn check_walk_order(tables: &EnumTables, label: &str) {
+    let mut chain = vec![0; tables.layout().num_slots() + 1];
+    for dim in Dim::ALL {
+        for (g, group) in tables.groups(dim).enumerate() {
+            let walked: Vec<Vec<u64>> = (0..group.num_entries())
+                .map(|k| {
+                    group.walk_chain(k, &mut chain);
+                    chain.clone()
+                })
+                .collect();
+            let mut listed: Vec<Vec<u64>> = group.entries().map(|(c, _)| c.to_vec()).collect();
+            listed.sort_unstable();
+            assert!(
+                walked.windows(2).all(|w| w[0] < w[1]),
+                "{label} {dim:?} group {g}: not strictly ascending"
+            );
+            assert_eq!(walked, listed, "{label} {dim:?} group {g}");
+        }
+    }
+}
+
+/// Ruby and Ruby-T count their chains; decoding a group's members from
+/// the counts must reproduce its listing at every bound up to 64, on a
+/// 2-level and a 3-level layout.
+#[test]
+fn counted_groups_decode_their_listing() {
+    let archs = [
+        ("toy16", presets::toy_linear(16, 1024)),
+        ("eyeriss", presets::eyeriss_like(14, 12)),
+    ];
+    for (arch_name, arch) in archs {
+        for kind in [MapspaceKind::Ruby, MapspaceKind::RubyT] {
+            for bound in 1..=64 {
+                let space = Mapspace::new(arch.clone(), ProblemShape::rank1("d", bound), kind);
+                let tables = EnumTables::build(&space, &EnumLimits::default())
+                    .expect("small spaces tabulate");
+                check_walk_order(&tables, &format!("{arch_name}/{kind}/{bound}"));
+            }
+        }
     }
 }

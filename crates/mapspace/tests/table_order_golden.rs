@@ -15,7 +15,12 @@
 //!
 //! The permuted walk's order — global leaf indices decoded through the
 //! region counts, in group-tuple order — is checked on the same spaces
-//! against the listed regions directly, so it needs no digest.
+//! against the listed regions directly. Ruby and Ruby-T groups are
+//! counted and walk their members in ascending chain order rather than
+//! table order, so those spaces also pin the walk with a digest
+//! (`WALK_ORDER_GOLDEN`, printed by the same command).
+
+use std::collections::{BTreeSet, HashSet};
 
 use ruby_arch::presets;
 use ruby_mapping::Mapping;
@@ -209,42 +214,122 @@ fn tables_and_regions_keep_their_golden_order() {
 /// middle and last leaf, which still crosses every arc boundary.
 const DECODE_EVERY_LEAF: u64 = 1 << 16;
 
+/// Walk-order digests of the counted golden spaces (Ruby and Ruby-T),
+/// recorded like [`GOLDEN`]: the decoded chains of every leaf
+/// `global_leaves_follow_group_tuple_order` visits, in visiting order.
+const WALK_ORDER_GOLDEN: [(&str, u64); 3] = [
+    ("toy16/ruby/rank1:113", 0xfac8f508ff4e1021),
+    ("eyeriss/ruby-t/gemm:48x40x20", 0xbfe37376be0a496d),
+    ("simba/ruby/gemm:40x24x18", 0xc30357cbde378199),
+];
+
 /// The permuted walk's global leaf index, decoded through the region
 /// counts, runs over the regions in group-tuple order, each region's
-/// leaves contiguous and in `SubspaceIterator` order.
+/// leaves contiguous and in `SubspaceIterator`'s mixed-radix order over
+/// the groups' members in walk order. That is table order for PFM and
+/// Ruby-S, so their leaves must equal the listed ones exactly. Ruby and
+/// Ruby-T walk a counted group in ascending chain order: each decoded
+/// chain must belong to the region's group, each fully decoded region
+/// must hold the same mappings as the listed one, and a digest pins the
+/// order.
 #[test]
 fn global_leaves_follow_group_tuple_order() {
+    let mut digests = Vec::new();
     for (name, space) in spaces() {
         let tables =
             EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
         let total = tables.exact_total_leaves().expect("golden spaces fit u64");
+        let counted = matches!(space.kind(), MapspaceKind::Ruby | MapspaceKind::RubyT);
+        let members: Vec<Vec<HashSet<&[u64]>>> = Dim::ALL
+            .iter()
+            .map(|&dim| {
+                let groups = tables.groups(dim);
+                groups
+                    .map(|g| g.entries().map(|(chain, _)| chain).collect())
+                    .collect()
+            })
+            .collect();
         let mut emitted = tables.regions().to_vec();
         emitted.sort_by_key(|r| Dim::ALL.map(|d| r.group(d)));
         let mut expected = Mapping::builder(space.arch().num_levels())
             .build_for_bounds(space.shape().bounds())
             .expect("default mapping");
         let mut decoded = expected.clone();
+        let chains = |m: &Mapping| Dim::ALL.map(|d| m.tile_chain(d).to_vec());
+        let mut h = Fnv::new();
         let mut first = 0u64;
         for region in &emitted {
-            let leaves: Vec<u64> = if total <= DECODE_EVERY_LEAF {
+            let every = total <= DECODE_EVERY_LEAF;
+            let leaves: Vec<u64> = if every {
                 (0..region.leaves).collect()
             } else {
                 vec![0, region.leaves / 2, region.leaves - 1]
             };
+            let (mut listed, mut walked) = (BTreeSet::new(), BTreeSet::new());
             for leaf in leaves {
-                let steps =
-                    SubspaceIterator::new(&tables, region, leaf, leaf + 1).next_into(&mut expected);
+                SubspaceIterator::new(&tables, region, leaf, leaf + 1).next_into(&mut expected);
                 let index = first + leaf;
-                assert_eq!(
-                    Some(tables.leaf_into(index, &mut decoded)),
-                    steps,
-                    "{name}: steps of leaf {index}"
-                );
-                assert_eq!(decoded, expected, "{name}: mapping of leaf {index}");
+                tables.leaf_into(index, &mut decoded);
+                if !counted {
+                    assert_eq!(decoded, expected, "{name}: mapping of leaf {index}");
+                    continue;
+                }
+                for (di, dim) in Dim::ALL.into_iter().enumerate() {
+                    let chain = decoded.tile_chain(dim);
+                    h.words(chain);
+                    assert!(
+                        members[di][region.group(dim)].contains(chain),
+                        "{name}: leaf {index} left its region's {dim:?} group"
+                    );
+                }
+                listed.insert(chains(&expected));
+                walked.insert(chains(&decoded));
+            }
+            if counted && every {
+                assert_eq!(walked, listed, "{name}: region {:?}", region);
             }
             first += region.leaves;
         }
         assert_eq!(first, total, "{name}: leaf total");
+        if counted {
+            println!("    ({name:?}, {:#018x}),", h.0);
+            digests.push((name, h.0));
+        }
+    }
+    assert_eq!(digests, WALK_ORDER_GOLDEN);
+}
+
+/// Every golden group, decoded member by member in walk order, is a
+/// bijection onto its listing: strictly ascending chains for the counted
+/// kinds (table order for the others), the listed chains as a set, and
+/// as many as the group's size. `counting_brute_force.rs` sweeps small
+/// bounds the same way.
+#[test]
+fn golden_groups_walk_their_listing() {
+    for (name, space) in spaces() {
+        let tables =
+            EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
+        let counted = matches!(space.kind(), MapspaceKind::Ruby | MapspaceKind::RubyT);
+        let mut chain = vec![0; tables.layout().num_slots() + 1];
+        for dim in Dim::ALL {
+            for (g, group) in tables.groups(dim).enumerate() {
+                let walked: Vec<Vec<u64>> = (0..group.num_entries())
+                    .map(|k| {
+                        group.walk_chain(k, &mut chain);
+                        chain.clone()
+                    })
+                    .collect();
+                let listed: Vec<Vec<u64>> = group.entries().map(|(c, _)| c.to_vec()).collect();
+                if counted {
+                    assert!(walked.windows(2).all(|w| w[0] < w[1]), "{name} {dim:?} {g}");
+                    let mut sorted = listed;
+                    sorted.sort_unstable();
+                    assert_eq!(walked, sorted, "{name} {dim:?} group {g}");
+                } else {
+                    assert_eq!(walked, listed, "{name} {dim:?} group {g}");
+                }
+            }
+        }
     }
 }
 

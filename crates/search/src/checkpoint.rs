@@ -39,8 +39,11 @@ use crate::{BestMapping, SearchConfig, SearchOutcome, Shared};
 /// whenever a saved cursor would resume onto different candidates.
 /// Version 2: the permuted walk decodes its positions in group-tuple
 /// order (see `ruby_mapspace::enumerate`), so a version-1 permuted
-/// position names a different mapping.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// position names a different mapping. Version 3: Ruby and Ruby-T
+/// groups are counted and walked in ascending chain order instead of
+/// table order, so a version-2 permuted position names a different
+/// mapping in those spaces.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// Why a checkpoint could not be written, read, or resumed from.
 #[derive(Debug)]

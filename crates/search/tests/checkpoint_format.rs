@@ -240,6 +240,20 @@ fn future_schema_reports_a_version_mismatch() {
 /// its permuted positions name other mappings: resuming one is refused.
 #[test]
 fn schema_1_permuted_checkpoint_is_refused() {
+    assert_permuted_checkpoint_refused(1);
+}
+
+/// Schema 2 predates counted Ruby and Ruby-T groups, which the walk
+/// decodes in ascending chain order rather than table order, so its
+/// permuted positions name other mappings too.
+#[test]
+fn schema_2_permuted_checkpoint_is_refused() {
+    assert_permuted_checkpoint_refused(2);
+}
+
+/// Interrupts a real walk on a Ruby space, rewrites its checkpoint's
+/// header to `schema`, and checks that resuming reports the mismatch.
+fn assert_permuted_checkpoint_refused(schema: u64) {
     let space = Mapspace::new(
         presets::toy_linear(16, 1024),
         ProblemShape::rank1("d", 113),
@@ -270,7 +284,7 @@ fn schema_1_permuted_checkpoint_is_refused() {
     );
     let raw = std::fs::read_to_string(&path).expect("readable");
     let current = format!("{{\"schema\":{},", ruby_search::CHECKPOINT_SCHEMA);
-    let old = raw.replacen(&current, "{\"schema\":1,", 1);
+    let old = raw.replacen(&current, &format!("{{\"schema\":{schema},"), 1);
     assert_ne!(raw, old, "replacement must hit the header");
     std::fs::write(&path, old).expect("writable");
     let resumed = Engine::new(&space)
@@ -280,10 +294,10 @@ fn schema_1_permuted_checkpoint_is_refused() {
         .try_run();
     let _ = std::fs::remove_file(&path);
     match resumed {
-        Err(CheckpointError::SchemaMismatch { found: 1, expected }) => {
+        Err(CheckpointError::SchemaMismatch { found, expected }) if found == schema => {
             assert_eq!(expected, ruby_search::CHECKPOINT_SCHEMA);
         }
-        other => panic!("expected a schema mismatch, got {other:?}"),
+        other => panic!("expected a schema-{schema} mismatch, got {other:?}"),
     }
 }
 
