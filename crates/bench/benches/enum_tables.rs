@@ -7,8 +7,14 @@
 //! their chains instead of listing them), `build+regions` what
 //! exhaustive and hybrid search pay (the region list, listed and
 //! sorted, which forces every counted table's listing too), and
-//! `decode` the walk's per-candidate cost: `leaf_into` on the first
-//! [`DECODES`] Feistel-shuffled leaves (divide its time by that count).
+//! `decode` the walk's per-candidate cost: `leaf_into` on [`DECODES`]
+//! Feistel-shuffled leaves.
+//!
+//! Every iteration does at least about a millisecond of work, because
+//! the vendored criterion reports the best of 5 samples and cannot tell
+//! a change apart from noise at the tens-of-µs scale. So the reported
+//! times are per iteration, not per unit: divide `build` and
+//! `build+regions` rows by [`BUILDS`] and `decode` rows by [`DECODES`].
 //!
 //! `cargo bench -p ruby-bench --bench enum_tables`
 
@@ -19,8 +25,12 @@ use ruby_core::prelude::*;
 
 const BOUNDS: [u64; 4] = [64, 256, 1024, 2560];
 
-/// Leaves decoded per `decode` iteration.
-const DECODES: u64 = 1024;
+/// Table builds per `build` / `build+regions` iteration.
+const BUILDS: usize = 32;
+
+/// Leaves decoded per `decode` iteration; spaces with fewer leaves wrap
+/// around the permutation.
+const DECODES: u64 = 16_384;
 
 fn bench_build(c: &mut Criterion) {
     let arch = presets::eyeriss_like(14, 12);
@@ -32,12 +42,22 @@ fn bench_build(c: &mut Criterion) {
             let shape = ProblemShape::gemm("g", bound, bound, bound);
             let space = Mapspace::new(arch.clone(), shape, kind);
             group.bench_with_input(BenchmarkId::new("build", bound), &space, |b, space| {
-                b.iter(|| EnumTables::build(space, &limits).map(|t| t.region_count()))
+                b.iter(|| {
+                    (0..BUILDS)
+                        .map(|_| EnumTables::build(space, &limits).map(|t| t.region_count()))
+                        .last()
+                })
             });
             group.bench_with_input(
                 BenchmarkId::new("build+regions", bound),
                 &space,
-                |b, space| b.iter(|| EnumTables::build(space, &limits).map(|t| t.regions().len())),
+                |b, space| {
+                    b.iter(|| {
+                        (0..BUILDS)
+                            .map(|_| EnumTables::build(space, &limits).map(|t| t.regions().len()))
+                            .last()
+                    })
+                },
             );
             let Ok(tables) = EnumTables::build(&space, &limits) else {
                 continue;
@@ -45,15 +65,14 @@ fn bench_build(c: &mut Criterion) {
             let Some(total) = tables.exact_total_leaves() else {
                 continue;
             };
-            let leaves = DECODES.min(total);
             let perm = FeistelPermutation::new(total, 1);
             let mut mapping = Mapping::builder(arch.num_levels())
                 .build_for_bounds(space.shape().bounds())
                 .expect("default mapping");
             group.bench_function(BenchmarkId::new("decode", bound), |b| {
                 b.iter(|| {
-                    for i in 0..leaves {
-                        tables.leaf_into(perm.shuffle(i), &mut mapping);
+                    for i in 0..DECODES {
+                        tables.leaf_into(perm.shuffle(i % total), &mut mapping);
                     }
                 })
             });

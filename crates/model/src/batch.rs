@@ -92,7 +92,8 @@ struct CapEntry {
 /// batch.commit(); // lane 0: the default (all-ones) mapping
 /// let verdicts = batch.screen();
 /// assert!(matches!(verdicts[0], BatchVerdict::Valid { .. }));
-/// assert_eq!(batch.summary(0).cycles(), 113);
+/// let steps = batch.mapping(0).compute_cycles();
+/// assert_eq!(batch.summary(0, steps).cycles(), 113);
 /// ```
 #[derive(Debug)]
 pub struct BatchEvalContext<'c, 'a> {
@@ -319,11 +320,14 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
 
     /// Lean cost of a lane [`Self::screen`] declared valid —
     /// bit-identical to the corresponding [`CostReport`] fields (see
-    /// [`crate::summarize_with`]). Costing a rejected lane is a logic
-    /// error: the result would describe an unrunnable mapping.
-    pub fn summary(&self, lane: usize) -> CostSummary {
+    /// [`crate::summarize_with`]). `steps` is the lane's
+    /// [`Mapping::compute_cycles`], which the search has already computed
+    /// for its cost floor; passing it in keeps the latency pass from
+    /// recomputing it. Costing a rejected lane is a logic error: the
+    /// result would describe an unrunnable mapping.
+    pub fn summary(&self, lane: usize, steps: u64) -> CostSummary {
         assert!(lane < self.len, "lane {lane} not committed");
-        summarize_unchecked(self.ctx, &self.slots[lane])
+        summarize_unchecked(self.ctx, &self.slots[lane], steps)
     }
 
     /// Full cost report of a lane [`Self::screen`] declared valid —

@@ -36,6 +36,15 @@ use ruby_workload::{Operand, ProblemShape, Rank, TensorDef};
 
 use crate::ModelOptions;
 
+/// Relative headroom a cost floor must clear before a search may trust
+/// it to exceed a true cost. The floor and the evaluator sum the same
+/// energy terms in different orders, so a floor can sit above the true
+/// energy by rounding skew: the soundness tests allow up to 1e-9
+/// relative and observe far less. A candidate is provably worse than an
+/// incumbent `best` only when its floor exceeds `best × (1 +
+/// FLOOR_SLACK)`; 1e-6 leaves three orders of margin over that skew.
+pub const FLOOR_SLACK: f64 = 1e-6;
+
 /// `fanout_below[l]`: product of fanout totals of levels `l..end` — the
 /// largest spatial divisor any valid mapping can apply at level `l`.
 pub(crate) fn max_fanout_below(arch: &Architecture) -> Vec<f64> {

@@ -240,11 +240,13 @@ pub fn summarize_with(ctx: &EvalContext, mapping: &Mapping) -> Result<CostSummar
     );
     validity::check_fanout(ctx.arch, mapping)?;
     validity::check_capacity(ctx.arch, ctx.tensors(), mapping)?;
-    Ok(summarize_unchecked(ctx, mapping))
+    Ok(summarize_unchecked(ctx, mapping, mapping.compute_cycles()))
 }
 
 /// The post-validity body shared by every evaluation path: access
-/// counting, latency, and the per-level energy accumulation. `stats`
+/// counting, latency, and the per-level energy accumulation. `steps` is
+/// the mapping's [`Mapping::compute_cycles`], passed in because the
+/// batched walk has already computed it for its cost floor. `stats`
 /// optionally collects the per-level breakdown; crucially, the energy
 /// sum runs the *same* floating-point additions in the same order
 /// whether or not stats are collected, so the lean and full paths are
@@ -252,6 +254,7 @@ pub fn summarize_with(ctx: &EvalContext, mapping: &Mapping) -> Result<CostSummar
 fn cost_core(
     ctx: &EvalContext,
     mapping: &Mapping,
+    steps: u64,
     mut stats: Option<&mut Vec<LevelStats>>,
 ) -> (u64, f64, f64) {
     let accesses = access::count_accesses(
@@ -262,7 +265,7 @@ fn cost_core(
         mapping,
         &ctx.opts,
     );
-    let cycles = latency::cycles(ctx.arch, mapping, &accesses);
+    let cycles = latency::cycles(ctx.arch, steps, &accesses);
 
     let mut energy = ctx.compute_energy;
     for (i, level) in ctx.arch.levels().iter().enumerate() {
@@ -292,14 +295,17 @@ fn cost_core(
 /// re-check is what lets the batched path screen once and cost once.
 pub(crate) fn evaluate_unchecked(ctx: &EvalContext, mapping: &Mapping) -> CostReport {
     let mut level_stats = Vec::with_capacity(ctx.arch.num_levels());
-    let (cycles, energy, utilization) = cost_core(ctx, mapping, Some(&mut level_stats));
+    let steps = mapping.compute_cycles();
+    let (cycles, energy, utilization) = cost_core(ctx, mapping, steps, Some(&mut level_stats));
     CostReport::new(ctx.macs, cycles, energy, utilization, level_stats)
 }
 
 /// Lean costing of a mapping already proven valid (see
-/// [`evaluate_unchecked`]); no per-level allocation.
-pub(crate) fn summarize_unchecked(ctx: &EvalContext, mapping: &Mapping) -> CostSummary {
-    let (cycles, energy, utilization) = cost_core(ctx, mapping, None);
+/// [`evaluate_unchecked`]) whose compute cycles are `steps`; no
+/// per-level allocation.
+pub(crate) fn summarize_unchecked(ctx: &EvalContext, mapping: &Mapping, steps: u64) -> CostSummary {
+    debug_assert_eq!(steps, mapping.compute_cycles(), "stale step count");
+    let (cycles, energy, utilization) = cost_core(ctx, mapping, steps, None);
     CostSummary::new(ctx.macs, cycles, energy, utilization)
 }
 

@@ -2,18 +2,14 @@
 //! bounded below by optional per-level bandwidth limits.
 
 use ruby_arch::Architecture;
-use ruby_mapping::Mapping;
 
 use crate::report::AccessCounts;
 
-/// Execution cycles: the lockstep sequential-step count of the mapping,
-/// max-ed with each bandwidth-limited level's transfer time.
-pub(crate) fn cycles(
-    arch: &Architecture,
-    mapping: &Mapping,
-    accesses: &[[AccessCounts; 3]],
-) -> u64 {
-    let compute = mapping.compute_cycles();
+/// Execution cycles: the mapping's lockstep sequential-step count
+/// `compute` (its [`ruby_mapping::Mapping::compute_cycles`], which
+/// callers have already computed), max-ed with each bandwidth-limited
+/// level's transfer time.
+pub(crate) fn cycles(arch: &Architecture, compute: u64, accesses: &[[AccessCounts; 3]]) -> u64 {
     let mut worst = compute as f64;
     for (i, level) in arch.levels().iter().enumerate() {
         if let Some(bw) = level.bandwidth_words_per_cycle() {
@@ -33,7 +29,7 @@ mod tests {
     use super::*;
     use ruby_arch::{Architecture, Capacity, Fanout, MemLevel};
     use ruby_energy::TechnologyModel;
-    use ruby_mapping::SlotKind;
+    use ruby_mapping::{Mapping, SlotKind};
     use ruby_workload::{Dim, DimMap};
 
     fn bounds_m(d: u64) -> DimMap<u64> {
@@ -63,7 +59,7 @@ mod tests {
         b.set_tile(Dim::M, 0, SlotKind::SpatialX, 4);
         let m = b.build_for_bounds(&bounds_m(100)).unwrap();
         let acc = vec![[AccessCounts::default(); 3]; 2];
-        assert_eq!(cycles(&arch, &m, &acc), 25);
+        assert_eq!(cycles(&arch, m.compute_cycles(), &acc), 25);
     }
 
     #[test]
@@ -89,6 +85,6 @@ mod tests {
         let m = b.build_for_bounds(&bounds_m(100)).unwrap();
         let mut acc = vec![[AccessCounts::default(); 3]; 2];
         acc[0][0].reads = 100.0; // 100 words at 0.5 words/cycle = 200 cycles
-        assert_eq!(cycles(&arch, &m, &acc), 200);
+        assert_eq!(cycles(&arch, m.compute_cycles(), &acc), 200);
     }
 }

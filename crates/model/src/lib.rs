@@ -59,6 +59,7 @@ use ruby_mapping::Mapping;
 use ruby_workload::ProblemShape;
 
 pub use batch::{BatchEvalContext, BatchVerdict, BATCH};
+pub use bound::FLOOR_SLACK;
 pub use context::{evaluate_with, summarize_with, EvalContext};
 pub use report::{AccessCounts, CostReport, CostSummary, LevelStats};
 pub use validity::InvalidMapping;

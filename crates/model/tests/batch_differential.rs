@@ -51,7 +51,7 @@ fn differential(space: &Mapspace, seed: u64) {
                 assert_eq!(b.edp().to_bits(), s.edp().to_bits());
                 // The lean summary path must agree with the full report
                 // bit-for-bit as well.
-                let summary = batch.summary(lane);
+                let summary = batch.summary(lane, batch.mapping(lane).compute_cycles());
                 assert_eq!(summary.macs(), s.macs());
                 assert_eq!(summary.cycles(), s.cycles());
                 assert_eq!(summary.energy().to_bits(), s.energy().to_bits());

@@ -940,16 +940,7 @@ fn worker_loop(
                 // after the thread join barrier.
                 shared.duplicates.fetch_add(1, Ordering::Relaxed);
                 if cost != f64::INFINITY {
-                    // ordering: Relaxed — Timeloop's victory counter is
-                    // deliberately approximate across threads; the stop
-                    // flag it feeds is advisory.
-                    let fails = shared.fails.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(limit) = config.termination {
-                        if fails >= limit {
-                            // ordering: Relaxed — advisory stop flag.
-                            shared.stop.store(true, Ordering::Relaxed);
-                        }
-                    }
+                    note_miss(shared, config);
                 }
                 continue;
             }
@@ -992,16 +983,21 @@ fn worker_loop(
             // racing increments are acceptable (Timeloop semantics).
             shared.fails.store(0, Ordering::Relaxed);
         } else {
-            // ordering: Relaxed — approximate victory counter feeding
-            // the advisory stop flag; no payload rides on either.
-            let fails = shared.fails.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(limit) = config.termination {
-                if fails >= limit {
-                    // ordering: Relaxed — advisory stop flag.
-                    shared.stop.store(true, Ordering::Relaxed);
-                }
-            }
+            note_miss(shared, config);
         }
+    }
+}
+
+/// Counts one valid candidate that did not improve the best toward
+/// Timeloop's victory condition, raising the stop flag once
+/// `termination` consecutive misses accrue.
+fn note_miss(shared: &Shared, config: &SearchConfig) {
+    // ordering: Relaxed — Timeloop's victory counter is deliberately
+    // approximate across threads; the stop flag it feeds is advisory.
+    let fails = shared.fails.fetch_add(1, Ordering::Relaxed) + 1;
+    if config.termination.is_some_and(|limit| fails >= limit) {
+        // ordering: Relaxed — advisory stop flag.
+        shared.stop.store(true, Ordering::Relaxed);
     }
 }
 

@@ -12,11 +12,32 @@
 //! remaining visit sequence bit-identically.
 //!
 //! Candidates are decoded into a [`BatchEvalContext`] (SoA layout,
-//! [`BATCH`] lanes), screened by the branchless rejection ladder, and
-//! only survivors pay the full cost pass — and of those, only
-//! improvements materialize a full [`ruby_model::CostReport`]; the other
-//! valid lanes stop at the allocation-free [`CostSummary`], whose
-//! objective cost is bit-identical (see the batch differential test).
+//! [`BATCH`] lanes) and each lane climbs a three-step ladder:
+//!
+//! 1. **Screen.** The branchless rejection ladder drops fanout- and
+//!    capacity-invalid lanes.
+//! 2. **Floor.** A valid lane's admissible cost floor
+//!    ([`Objective::cost_floor`] of the context's energy floor and the
+//!    lane's own sequential steps) is compared with the running best.
+//!    When it exceeds `best × (1 + FLOOR_SLACK)` the lane cannot
+//!    improve, so it is counted as a valid non-improving candidate
+//!    without being costed. The comparison is strict because ties reach
+//!    [`record_improvement`]'s canonical-key tie-break, and the
+//!    [`FLOOR_SLACK`] headroom absorbs the floor's rounding skew (at
+//!    most 1e-9 relative in the soundness tests). The best only
+//!    decreases, so a lane skipped against an older best could not have
+//!    improved on a newer one either, at any thread count. The step is
+//!    off when the hybrid warm-up's memo is present, since that memo
+//!    must store every valid lane's exact cost.
+//! 3. **Summary.** Surviving lanes pay the full cost pass, reusing the
+//!    step count from the floor. Only improvements materialize a full
+//!    [`ruby_model::CostReport`]; the other lanes stop at the
+//!    allocation-free [`CostSummary`], whose objective cost is
+//!    bit-identical (see the batch differential test).
+//!
+//! Skipping changes no outcome and no counter: the walk order, `valid`,
+//! the victory counter and the best are exactly those of costing every
+//! lane (see `tests/walk_bound_skip.rs`).
 //!
 //! The per-candidate protocol (budget reservation with undo, interrupt
 //! polls before reservations, progress strides, victory-counter
@@ -30,20 +51,22 @@
 //! `evaluations = valid + invalid + duplicates` identity holds.
 
 use ruby_mapspace::{EnumTables, Mapspace, PermutedIterator};
-use ruby_model::{BatchEvalContext, BatchVerdict, CostSummary, EvalContext, BATCH};
+use ruby_model::{BatchEvalContext, BatchVerdict, CostSummary, EvalContext, BATCH, FLOOR_SLACK};
 use ruby_telemetry::LazyCounter;
 
 use crate::checkpoint::{Checkpointer, Cursor, PermutedCursor, RandomPhase, SearchCheckpoint};
 use crate::sync::Ordering;
 use crate::{
-    engine, quarantine, record_improvement, try_improve, SearchConfig, Shared,
-    STOP_REASON_WORKER_FAILURES,
+    engine, note_miss, quarantine, record_improvement, try_improve, Objective, SearchConfig,
+    Shared, STOP_REASON_WORKER_FAILURES,
 };
 
 /// Permuted walks launched (the space tabulated) vs. rejected back to
 /// the rejection sampler, once per run.
 static WALK_RUNS: LazyCounter = LazyCounter::new("search.permuted.runs");
 static WALK_FALLBACKS: LazyCounter = LazyCounter::new("search.permuted.fallbacks");
+/// Valid lanes the bound-before-cost step counted without costing.
+static BOUND_SKIPS: LazyCounter = LazyCounter::new("search.permuted.bound_skips");
 
 /// Attempts the permuted batched walk over `mapspace`.
 ///
@@ -227,8 +250,14 @@ fn walk_loop(
     last_key: &mut Option<u64>,
 ) {
     // The plain random path has no memo — the walk itself guarantees
-    // zero duplicates. Hybrid-warmup evaluations still insert (never
-    // probe) so the enumeration leg dedups against them.
+    // zero duplicates — so it may bound before costing. Hybrid-warmup
+    // evaluations still insert (never probe) so the enumeration leg
+    // dedups against them, and that memo needs every valid lane's exact
+    // cost.
+    let bound = shared
+        .memo
+        .is_none()
+        .then(|| (config.objective, batch.context().energy_floor()));
     let mut ordinals = [0u64; BATCH];
     let mut verdicts = [BatchVerdict::RejectFanout; BATCH];
     let mut saved_epoch = match cpr {
@@ -314,9 +343,10 @@ fn walk_loop(
         if lanes > 0 {
             verdicts[..lanes].copy_from_slice(batch.screen());
         }
+        let mut skipped = 0u64;
         for lane in 0..lanes {
             let valid = matches!(verdicts[lane], BatchVerdict::Valid { .. });
-            match score_lane(batch, lane, valid) {
+            match score_lane(batch, lane, valid, bound, shared) {
                 LaneScore::Invalid => {
                     // ordering: Relaxed — statistics counter, read only
                     // after the thread join barrier.
@@ -338,6 +368,16 @@ fn walk_loop(
                     } else {
                         *restarts_left -= 1;
                     }
+                }
+                LaneScore::Bounded => {
+                    // A valid lane whose floor already lost: counted
+                    // exactly as the non-improving lane it would have
+                    // been had it been costed.
+                    skipped += 1;
+                    // ordering: Relaxed — statistics counter, read only
+                    // after the thread join barrier.
+                    shared.valid.fetch_add(1, Ordering::Relaxed);
+                    note_miss(shared, config);
                 }
                 LaneScore::Valid(summary) => {
                     // ordering: Relaxed — statistics counter, read only
@@ -370,19 +410,12 @@ fn walk_loop(
                         // reset (Timeloop semantics, see worker_loop).
                         shared.fails.store(0, Ordering::Relaxed);
                     } else {
-                        // ordering: Relaxed — approximate victory counter
-                        // feeding the advisory stop flag.
-                        let fails = shared.fails.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(limit) = config.termination {
-                            if fails >= limit {
-                                // ordering: Relaxed — advisory stop flag.
-                                shared.stop.store(true, Ordering::Relaxed);
-                            }
-                        }
+                        note_miss(shared, config);
                     }
                 }
             }
         }
+        BOUND_SKIPS.add(skipped);
         if dry {
             break;
         }
@@ -393,14 +426,26 @@ fn walk_loop(
 /// [`crate::Scored`]; the summary replaces the full report).
 enum LaneScore {
     Valid(CostSummary),
+    /// Valid, but its cost floor already exceeds the running best, so
+    /// it was never costed: it cannot improve on or tie the best.
+    Bounded,
     Invalid,
     Panicked,
 }
 
 /// The per-lane model-call site: runs the `search.eval` failpoint (so
-/// resilience tests can inject evaluation panics on this path too) and
-/// summarizes screened-valid lanes.
-fn score_lane(batch: &BatchEvalContext<'_, '_>, lane: usize, valid: bool) -> LaneScore {
+/// resilience tests can inject evaluation panics on this path too, on
+/// every lane), then bounds and summarizes screened-valid lanes. With
+/// `bound = Some((objective, energy floor))` a valid lane whose cost
+/// floor exceeds the running best by more than [`FLOOR_SLACK`] skips
+/// the summary.
+fn score_lane(
+    batch: &BatchEvalContext<'_, '_>,
+    lane: usize,
+    valid: bool,
+    bound: Option<(Objective, f64)>,
+    shared: &Shared,
+) -> LaneScore {
     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if matches!(
             ruby_failpoints::hit("search.eval"),
@@ -410,16 +455,25 @@ fn score_lane(batch: &BatchEvalContext<'_, '_>, lane: usize, valid: bool) -> Lan
             // fault the supervised workers must recover from.
             panic!("failpoint search.eval: injected evaluation panic");
         }
-        valid.then(|| batch.summary(lane))
-    }));
-    match scored {
-        Ok(Some(summary)) => LaneScore::Valid(summary),
-        Ok(None) => LaneScore::Invalid,
-        Err(payload) => {
-            // Silence the payload; the panic is contained and accounted
-            // for via quarantine at the call site.
-            drop(payload);
-            LaneScore::Panicked
+        if !valid {
+            return LaneScore::Invalid;
         }
-    }
+        let steps = batch.mapping(lane).compute_cycles();
+        if let Some((objective, energy_floor)) = bound {
+            // ordering: Relaxed — value-only snapshot of the best cost.
+            // The best only decreases, so a stale read skips less, never
+            // wrongly.
+            let best = f64::from_bits(shared.best_bits.load(Ordering::Relaxed));
+            if objective.cost_floor(energy_floor, steps) > best * (1.0 + FLOOR_SLACK) {
+                return LaneScore::Bounded;
+            }
+        }
+        LaneScore::Valid(batch.summary(lane, steps))
+    }));
+    scored.unwrap_or_else(|payload| {
+        // Silence the payload; the panic is contained and accounted for
+        // via quarantine at the call site.
+        drop(payload);
+        LaneScore::Panicked
+    })
 }
