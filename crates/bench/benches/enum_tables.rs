@@ -7,12 +7,13 @@
 //! their chains instead of listing them), `build+regions` what
 //! exhaustive and hybrid search pay (the region list, listed and
 //! sorted, which forces every counted table's listing too), and
-//! `decode` the walk's per-candidate cost: `leaf_into` on [`DECODES`]
-//! Feistel-shuffled leaves.
+//! `decode` the walk's per-candidate cost: [`DECODES`] Feistel-shuffled
+//! leaves, shuffled and decoded the way the walk does, in
+//! `EnumTables::leaves_into` calls of [`BATCH`] leaves.
 //!
-//! Every iteration does at least about a millisecond of work, because
-//! the vendored criterion reports the best of 5 samples and cannot tell
-//! a change apart from noise at the tens-of-µs scale. So the reported
+//! Every iteration does at least about a millisecond of work, and every
+//! row reports the median of [`SAMPLES`] samples: on a shared host the
+//! best of a few samples swung by 1-70% between runs. The reported
 //! times are per iteration, not per unit: divide `build` and
 //! `build+regions` rows by [`BUILDS`] and `decode` rows by [`DECODES`].
 //!
@@ -21,9 +22,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ruby_core::mapspace::{EnumLimits, EnumTables, FeistelPermutation};
+use ruby_core::model::BATCH;
 use ruby_core::prelude::*;
 
 const BOUNDS: [u64; 4] = [64, 256, 1024, 2560];
+
+/// Samples per row.
+const SAMPLES: usize = 15;
 
 /// Table builds per `build` / `build+regions` iteration.
 const BUILDS: usize = 32;
@@ -37,7 +42,7 @@ fn bench_build(c: &mut Criterion) {
     let limits = EnumLimits::default();
     for kind in MapspaceKind::ALL {
         let mut group = c.benchmark_group(&format!("enum_tables/{}", kind.name()));
-        group.sample_size(5);
+        group.sample_size(SAMPLES);
         for bound in BOUNDS {
             let shape = ProblemShape::gemm("g", bound, bound, bound);
             let space = Mapspace::new(arch.clone(), shape, kind);
@@ -66,13 +71,18 @@ fn bench_build(c: &mut Criterion) {
                 continue;
             };
             let perm = FeistelPermutation::new(total, 1);
-            let mut mapping = Mapping::builder(arch.num_levels())
+            let mapping = Mapping::builder(arch.num_levels())
                 .build_for_bounds(space.shape().bounds())
                 .expect("default mapping");
+            let mut lanes = vec![mapping; BATCH];
+            let (mut leaves, mut steps) = ([0u64; BATCH], [0u64; BATCH]);
             group.bench_function(BenchmarkId::new("decode", bound), |b| {
                 b.iter(|| {
-                    for i in 0..DECODES {
-                        tables.leaf_into(perm.shuffle(i % total), &mut mapping);
+                    for first in (0..DECODES).step_by(BATCH) {
+                        for (lane, leaf) in leaves.iter_mut().enumerate() {
+                            *leaf = perm.shuffle((first + lane as u64) % total);
+                        }
+                        tables.leaves_into(&leaves, &mut lanes, &mut steps);
                     }
                 })
             });

@@ -81,7 +81,9 @@
 //! ascending tile, so decoding member `k` descends by one binary search
 //! per temporal slot. Slots that can only take factor 1 have no nodes.
 //! Counting also decides refusal: `max_entries_per_dim` is compared
-//! with the counted size, before anything is listed.
+//! with the counted size, before anything is listed, and the count
+//! stops at the first slot whose states already complete more chains
+//! than that, before the slots further in are built.
 //!
 //! Either way, a table keeps per group only the range of its entries and
 //! its signature, and dimensions with equal bounds and slot rules share
@@ -322,15 +324,60 @@ impl DimTable {
     }
 
     /// Writes `group`'s entry `k` in walk order into `chain`: ascending
-    /// chain order in a counted table, table order otherwise.
+    /// chain order in a counted table, table order otherwise. The
+    /// one-lane case of [`DimTable::decode_lanes`].
     fn walk_chain(&self, group: usize, k: u64, chain: &mut [u64]) {
+        // Entries are indexed by `u32`.
+        self.decode_lanes(&[group as u32], &[k as u32], &mut [1], chain);
+    }
+
+    /// Writes every lane's member `ks[lane]` of group `groups[lane]`, in
+    /// walk order, into `chains`' lane. A listed table also multiplies
+    /// the entry's steps into `steps[lane]` (saturating); a counted one
+    /// carries no steps and leaves them alone.
+    fn decode_lanes(
+        &self,
+        groups: &[u32],
+        ks: &[u32],
+        steps: &mut [u64],
+        chains: &mut (impl LaneChains + ?Sized),
+    ) {
         match &self.counted {
-            Some(counted) => counted.decode(group, k, chain),
-            None => chain.copy_from_slice(
-                self.listing()
-                    .chain(self.starts[group] as usize + k as usize),
-            ),
+            Some(counted) => counted.decode_lanes(groups, ks, chains),
+            None => {
+                let listing = self.listing();
+                for (lane, (&group, &k)) in groups.iter().zip(ks).enumerate() {
+                    let entry = (self.starts[group as usize] + k) as usize;
+                    chains.chain(lane).copy_from_slice(listing.chain(entry));
+                    steps[lane] = steps[lane].saturating_mul(listing.steps[entry]);
+                }
+            }
         }
+    }
+}
+
+/// Where a lane-parallel decode writes each lane's chain of one
+/// dimension.
+trait LaneChains {
+    fn chain(&mut self, lane: usize) -> &mut [u64];
+}
+
+/// A single lane's chain.
+impl LaneChains for [u64] {
+    fn chain(&mut self, _lane: usize) -> &mut [u64] {
+        self
+    }
+}
+
+/// Dimension `dim`'s chain of mapping `out[lane]`.
+struct DimChains<'m> {
+    out: &'m mut [Mapping],
+    dim: Dim,
+}
+
+impl LaneChains for DimChains<'_> {
+    fn chain(&mut self, lane: usize) -> &mut [u64] {
+        self.out[lane].tile_chain_mut(self.dim)
     }
 }
 
@@ -533,6 +580,10 @@ struct GroupArc {
 /// The terminal node (all seven dimensions chose): one region, one leaf.
 const DONE: u32 = 0;
 
+/// Leaves [`EnumTables::leaves_into`] decodes side by side; longer calls
+/// run in chunks of this many.
+pub const DECODE_LANES: usize = 64;
+
 /// Deduplicated per-dimension chain tables plus the counted feasible
 /// regions of one [`Mapspace`].
 #[derive(Debug, Clone)]
@@ -682,10 +733,7 @@ impl EnumTables {
 
     /// Writes the mapping at global leaf `index` (group-tuple order, see
     /// the module's order contract) into `out`, leaving permutations
-    /// untouched. Each dimension picks the arc whose leaf range holds the
-    /// index, then splits the rest of the index in [`SubspaceIterator`]'s
-    /// mixed-radix order over the groups' members in walk order (see
-    /// [`GroupView::walk_chain`]).
+    /// untouched: the one-lane case of [`EnumTables::leaves_into`].
     ///
     /// # Panics
     ///
@@ -693,19 +741,79 @@ impl EnumTables {
     /// below [`EnumTables::exact_total_leaves`] and `out` has this
     /// space's layout.
     pub fn leaf_into(&self, index: u64, out: &mut Mapping) {
-        let mut node = self.root;
-        let mut idx = index;
+        self.leaves_into(&[index], std::slice::from_mut(out), &mut [0]);
+    }
+
+    /// Writes the mapping at global leaf `indices[lane]` into
+    /// `out[lane]` for every lane, leaving permutations untouched. Each
+    /// dimension picks the arc whose leaf range holds the index, then
+    /// splits the rest of the index in [`SubspaceIterator`]'s mixed-radix
+    /// order over the groups' members in walk order (see
+    /// [`GroupView::walk_chain`]).
+    ///
+    /// The lanes are decoded side by side, one dimension at a time (and
+    /// in a counted table one choice slot at a time), [`DECODE_LANES`]
+    /// at once, so that the independent lanes' table loads overlap
+    /// instead of waiting on one another.
+    ///
+    /// When the tables list their chains (PFM, Ruby-S) it also writes
+    /// each lane's sequential step count into `steps[lane]`, the
+    /// saturating product of its chains' listed steps in [`Dim::ALL`]
+    /// order — exactly [`Mapping::compute_cycles`] — and returns `true`.
+    /// Counted tables (Ruby, Ruby-T) carry no steps: it returns `false`
+    /// and leaves `steps` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the three slices have equal lengths. May panic, or
+    /// decode arbitrary mappings, unless every index is below
+    /// [`EnumTables::exact_total_leaves`] and every mapping has this
+    /// space's layout.
+    pub fn leaves_into(&self, indices: &[u64], out: &mut [Mapping], steps: &mut [u64]) -> bool {
+        assert!(
+            indices.len() == out.len() && out.len() == steps.len(),
+            "{} indices, {} mappings, {} step counts",
+            indices.len(),
+            out.len(),
+            steps.len()
+        );
+        let listed = self.tables.iter().all(|t| t.counted.is_none());
+        let chunks = indices
+            .chunks(DECODE_LANES)
+            .zip(out.chunks_mut(DECODE_LANES));
+        for ((indices, out), steps) in chunks.zip(steps.chunks_mut(DECODE_LANES)) {
+            if listed {
+                steps.fill(1);
+            }
+            self.decode_chunk(indices, out, steps);
+        }
+        listed
+    }
+
+    /// [`EnumTables::leaves_into`] for at most [`DECODE_LANES`] lanes.
+    fn decode_chunk(&self, indices: &[u64], out: &mut [Mapping], steps: &mut [u64]) {
+        let lanes = indices.len();
+        let mut node = [self.root; DECODE_LANES];
+        let mut idx = [0u64; DECODE_LANES];
+        idx[..lanes].copy_from_slice(indices);
+        let mut group = [0u32; DECODE_LANES];
+        let mut member = [0u32; DECODE_LANES];
         for (di, dim) in Dim::ALL.into_iter().enumerate() {
-            let arcs = self.arcs_of(node);
-            // The first arc starts at 0 <= idx, so the point is >= 1.
-            let arc = arcs[arcs.partition_point(|a| a.before <= idx) - 1];
-            idx -= arc.before;
-            node = arc.child;
             let table = self.table(di);
-            let group = arc.group as usize;
-            let radix = table.entries(group).len() as u64;
-            table.walk_chain(group, idx % radix, out.tile_chain_mut(dim));
-            idx /= radix;
+            for lane in 0..lanes {
+                let arcs = self.arcs_of(node[lane]);
+                // The first arc starts at 0 <= idx, so the point is >= 1.
+                let arc = arcs[arcs.partition_point(|a| a.before <= idx[lane]) - 1];
+                let rest = idx[lane] - arc.before;
+                let radix = table.entries(arc.group as usize).len() as u64;
+                node[lane] = arc.child;
+                group[lane] = arc.group;
+                // Below the group's size, which is indexed by `u32`.
+                member[lane] = (rest % radix) as u32;
+                idx[lane] = rest / radix;
+            }
+            let mut chains = DimChains { out, dim };
+            table.decode_lanes(&group[..lanes], &member[..lanes], steps, &mut chains);
         }
     }
 
@@ -1095,9 +1203,11 @@ impl ChainCounts {
     /// Counts the chains [`ChainWalk::free`] would list, per signature,
     /// returning the counts and the groups: every signature that has
     /// chains, ascending, with their sizes. `None` once the chains
-    /// outgrow `limit` (`<= u32::MAX - 1`): every state, node and arc at
-    /// a slot lies on a distinct chain, so the build gives up as soon as
-    /// any slot holds more of them than `limit`, or a node counts more.
+    /// outgrow `limit` (`<= u32::MAX - 1`): every state at a slot is
+    /// reachable, so its completions lie on distinct chains, and the
+    /// build gives up as soon as a slot's states hold more of them than
+    /// `limit` (which also bounds the slot's nodes and arcs), before the
+    /// slots further in are built.
     fn build(
         kind: MapspaceKind,
         bound: u64,
@@ -1189,7 +1299,9 @@ impl ChainCounts {
         // node)`, by ascending successor tile.
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for level in (0..levels).rev() {
-            let (level_nodes, level_arcs) = (dag.tiles.len(), dag.arcs.len());
+            // Completions of the level's states so far: each state is
+            // reachable, so they lie on distinct chains.
+            let mut level_chains = 0usize;
             let mut nodes = Vec::with_capacity(states_at(level) + 1);
             for state in 0..states_at(level) {
                 let cum = tile_at(level, state);
@@ -1230,8 +1342,11 @@ impl ChainCounts {
                     }
                     suffix.push(run[0].0);
                     count.push(before);
+                    level_chains += before as usize;
                 }
-                if dag.tiles.len() - level_nodes > limit || dag.arcs.len() - level_arcs > limit {
+                // Every node and arc of the level starts at least one of
+                // these completions, so this also bounds the level's size.
+                if level_chains > limit {
                     return None;
                 }
             }
@@ -1257,39 +1372,52 @@ impl ChainCounts {
         Some((dag, groups))
     }
 
-    /// Writes `group`'s `k`-th chain, in ascending chain order, into
-    /// `chain`.
-    fn decode(&self, group: usize, k: u64, chain: &mut [u64]) {
-        let mut node = self.root as usize + group;
-        // Entries are indexed by `u32`.
-        let mut k = k as u32;
-        let mut tile = 1;
+    /// Writes, for every lane, group `groups[lane]`'s `ks[lane]`-th
+    /// chain in ascending chain order into `chains`' lane. The lanes
+    /// descend side by side, one choice slot at a time, so their
+    /// independent arc and tile loads overlap.
+    fn decode_lanes(&self, groups: &[u32], ks: &[u32], chains: &mut (impl LaneChains + ?Sized)) {
+        let lanes = groups.len();
+        let mut node = [0u32; DECODE_LANES];
+        let mut k = [0u32; DECODE_LANES];
+        let mut tile = [1u64; DECODE_LANES];
+        for lane in 0..lanes {
+            node[lane] = self.root + groups[lane];
+            k[lane] = ks[lane];
+        }
         let mut written = 0;
         for &slot in &self.choices {
-            let arcs = &self.arcs[self.first_arc[node] as usize..self.first_arc[node + 1] as usize];
-            // Every arc counts at least one completion, so `before`
-            // rises by at least 1 per arc; when the last one reads
-            // `len - 1`, all arcs but the last count exactly one (always
-            // so for a single arc, and for the successors of the last
-            // choice slot) and arc `k` is found without a search.
-            let last = arcs.len() - 1;
-            let at = if arcs[last].before as usize == last {
-                (k as usize).min(last)
-            } else {
-                // The first arc starts at 0 <= k, so the point is >= 1.
-                arcs.partition_point(|a| a.before <= k) - 1
-            };
-            let arc = arcs[at];
-            k -= arc.before;
-            node = arc.to as usize;
-            // Slots up to this one kept the tile; this one moves it.
-            chain[written..=slot].fill(tile);
-            tile = self.tiles[node];
+            for lane in 0..lanes {
+                let n = node[lane] as usize;
+                let arcs = &self.arcs[self.first_arc[n] as usize..self.first_arc[n + 1] as usize];
+                // Every arc counts at least one completion, so `before`
+                // rises by at least 1 per arc; when the last one reads
+                // `len - 1`, all arcs but the last count exactly one
+                // (always so for a single arc, and for the successors of
+                // the last choice slot) and arc `k` is found without a
+                // search.
+                let last = arcs.len() - 1;
+                let at = if arcs[last].before as usize == last {
+                    (k[lane] as usize).min(last)
+                } else {
+                    // The first arc starts at 0 <= k, so the point is >= 1.
+                    arcs.partition_point(|a| a.before <= k[lane]) - 1
+                };
+                let arc = arcs[at];
+                k[lane] -= arc.before;
+                node[lane] = arc.to;
+                // Slots up to this one kept the tile; this one moves it.
+                chains.chain(lane)[written..=slot].fill(tile[lane]);
+                tile[lane] = self.tiles[arc.to as usize];
+            }
             written = slot + 1;
         }
-        let last = chain.len() - 1;
-        chain[written..last].fill(tile);
-        chain[last] = self.bound;
+        for (lane, &tile) in tile[..lanes].iter().enumerate() {
+            let chain = chains.chain(lane);
+            let last = chain.len() - 1;
+            chain[written..last].fill(tile);
+            chain[last] = self.bound;
+        }
     }
 }
 

@@ -200,13 +200,28 @@ impl<'a> PermutedIterator<'a> {
     /// [`crate::SubspaceIterator::next_into`]) and returns its global
     /// leaf index, or `None` when the range is exhausted.
     pub fn next_into(&mut self, out: &mut Mapping) -> Option<u64> {
+        let global = self.next_index()?;
+        self.tables.leaf_into(global, out);
+        Some(global)
+    }
+
+    /// Advances past the next shuffled position without decoding it and
+    /// returns its global leaf index, or `None` when the range is
+    /// exhausted. A batch of these decodes in one
+    /// [`EnumTables::leaves_into`] call on [`PermutedIterator::tables`].
+    pub fn next_index(&mut self) -> Option<u64> {
         if self.pos >= self.end {
             return None;
         }
         let global = self.perm.shuffle(self.pos);
         self.pos += 1;
-        self.tables.leaf_into(global, out);
         Some(global)
+    }
+
+    /// The tables the walk decodes from.
+    #[must_use]
+    pub fn tables(&self) -> &'a EnumTables {
+        self.tables
     }
 }
 

@@ -19,15 +19,25 @@
 //! counted and walk their members in ascending chain order rather than
 //! table order, so those spaces also pin the walk with a digest
 //! (`WALK_ORDER_GOLDEN`, printed by the same command).
+//!
+//! The walk decodes a batch of leaves side by side
+//! (`EnumTables::leaves_into`) and relies on two facts the tables hold:
+//! every decoded lane equals its one-leaf decode with the steps the
+//! listing stores, and every walked leaf fits every level's fanout, so
+//! the walk screens no fanout. Both are checked here, the second also
+//! on the spaces of the benchmark's cold-query sweep.
 
 use std::collections::{BTreeSet, HashSet};
 
 use ruby_arch::presets;
 use ruby_mapping::Mapping;
+use ruby_mapspace::enumerate::DECODE_LANES;
 use ruby_mapspace::{
-    Constraints, EnumLimits, EnumTables, Mapspace, MapspaceKind, PermutedIterator, SubspaceIterator,
+    Constraints, EnumLimits, EnumTables, FeistelPermutation, Mapspace, MapspaceKind,
+    PermutedIterator, SubspaceIterator,
 };
-use ruby_workload::{Dim, ProblemShape};
+use ruby_model::{EvalContext, InvalidMapping, ModelOptions};
+use ruby_workload::{suites, Dim, ProblemShape};
 
 /// 64-bit FNV-1a over little-endian words: stable across platforms,
 /// toolchains and runs (unlike `DefaultHasher`).
@@ -363,4 +373,149 @@ fn overflowing_leaf_sum_has_no_exact_total() {
     assert_eq!(tables.exact_total_leaves(), None);
     assert_eq!(tables.total_leaves(), u64::MAX);
     assert!(PermutedIterator::new(&tables, 1, 0, 0).is_none());
+}
+
+/// A space's default mapping, for decoders to overwrite.
+fn blank(space: &Mapspace) -> Mapping {
+    Mapping::builder(space.arch().num_levels())
+        .build_for_bounds(space.shape().bounds())
+        .expect("default mapping")
+}
+
+/// Positions `0..limit` of the seed-`seed` permuted walk over `tables`,
+/// as global leaf indices.
+fn walked(tables: &EnumTables, seed: u64, limit: u64) -> Vec<u64> {
+    let total = tables.exact_total_leaves().expect("space fits u64");
+    let perm = FeistelPermutation::new(total, seed);
+    (0..total.min(limit)).map(|i| perm.shuffle(i)).collect()
+}
+
+/// Decodes `indices` with `leaves_into` in calls of one lane, of part of
+/// a chunk, of exactly [`DECODE_LANES`] and of more than that, returning
+/// each lane's mapping and, when the tables list their chains, the step
+/// count the decoder read from them.
+fn decode_batched(
+    tables: &EnumTables,
+    space: &Mapspace,
+    indices: &[u64],
+) -> Vec<(Mapping, Option<u64>)> {
+    let widest = 2 * DECODE_LANES + 22;
+    let mut out = vec![blank(space); widest];
+    let mut steps = vec![0; widest];
+    let mut decoded = Vec::with_capacity(indices.len());
+    let sizes = [1, 37, DECODE_LANES, widest].into_iter().cycle();
+    let mut at = 0;
+    for size in sizes {
+        if at == indices.len() {
+            break;
+        }
+        let n = size.min(indices.len() - at);
+        let listed = tables.leaves_into(&indices[at..at + n], &mut out[..n], &mut steps[..n]);
+        let counted = matches!(space.kind(), MapspaceKind::Ruby | MapspaceKind::RubyT);
+        assert_eq!(
+            listed,
+            !counted,
+            "{}: listed tables hand over steps",
+            space.kind()
+        );
+        for lane in 0..n {
+            decoded.push((out[lane].clone(), listed.then_some(steps[lane])));
+        }
+        at += n;
+    }
+    decoded
+}
+
+/// The batch decoder writes exactly what the one-leaf decode (pinned by
+/// `global_leaves_follow_group_tuple_order`) and, for listed tables,
+/// `SubspaceIterator` write for the same leaves, in any batch shape, and
+/// a listed table's steps are the SubspaceIterator's steps and the
+/// mapping's `compute_cycles`.
+#[test]
+fn batched_decode_matches_single_leaf_decode() {
+    for (name, space) in spaces() {
+        let tables =
+            EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
+        let mut regions = tables.regions().to_vec();
+        regions.sort_by_key(|r| Dim::ALL.map(|d| r.group(d)));
+        let starts: Vec<u64> = regions
+            .iter()
+            .scan(0, |first, r| {
+                let start = *first;
+                *first += r.leaves;
+                Some(start)
+            })
+            .collect();
+        let indices = walked(&tables, 3, 4_096);
+        let decoded = decode_batched(&tables, &space, &indices);
+        let (mut single, mut listed) = (blank(&space), blank(&space));
+        for (&index, (mapping, steps)) in indices.iter().zip(&decoded) {
+            tables.leaf_into(index, &mut single);
+            assert_eq!(*mapping, single, "{name}: leaf {index}");
+            let Some(steps) = *steps else {
+                continue;
+            };
+            let r = starts.partition_point(|&s| s <= index) - 1;
+            let leaf = index - starts[r];
+            let expected =
+                SubspaceIterator::new(&tables, &regions[r], leaf, leaf + 1).next_into(&mut listed);
+            assert_eq!(*mapping, listed, "{name}: leaf {index} vs its region");
+            assert_eq!(Some(steps), expected, "{name}: steps of leaf {index}");
+            assert_eq!(
+                steps,
+                mapping.compute_cycles(),
+                "{name}: steps of leaf {index}"
+            );
+        }
+    }
+}
+
+/// Fails unless every mapping passes the model's fanout wall (the first
+/// one `precheck` runs, so any fanout violation is the one reported).
+fn assert_fanout_feasible(name: &str, space: &Mapspace, decoded: &[(Mapping, Option<u64>)]) {
+    let ctx = EvalContext::new(space.arch(), space.shape(), ModelOptions::default());
+    for (mapping, _) in decoded {
+        if let Err(err @ InvalidMapping::FanoutExceeded { .. }) = ctx.precheck(mapping) {
+            panic!("{name}: walked leaf {mapping:?} fails {err}");
+        }
+    }
+}
+
+/// Regions are fanout-feasible by construction: every leaf a walk
+/// decodes fits every level's fanout.
+#[test]
+fn walked_leaves_fit_every_fanout() {
+    for (name, space) in spaces() {
+        let tables =
+            EnumTables::build(&space, &EnumLimits::default()).expect("golden spaces tabulate");
+        let decoded = decode_batched(&tables, &space, &walked(&tables, 1, 4_096));
+        assert_fanout_feasible(name, &space, &decoded);
+    }
+}
+
+/// The same on the cold-query sweep's spaces: every ResNet-50 and
+/// DeepBench layer × {PFM, Ruby-S, Ruby} × {Eyeriss 14×12, Simba 15,4,4}
+/// that tabulates, over the first 3,000 positions of its walk.
+#[test]
+fn cold_sweep_walks_fit_every_fanout() {
+    let mut shapes: Vec<ProblemShape> = suites::resnet50().iter().cloned().collect();
+    shapes.extend(suites::deepbench().iter().cloned());
+    let mut walks = 0;
+    for arch in [presets::eyeriss_like(14, 12), presets::simba_like(15, 4, 4)] {
+        for shape in &shapes {
+            for kind in [MapspaceKind::Pfm, MapspaceKind::RubyS, MapspaceKind::Ruby] {
+                let space = Mapspace::new(arch.clone(), shape.clone(), kind);
+                let Ok(tables) = EnumTables::build(&space, &EnumLimits::default()) else {
+                    continue;
+                };
+                if tables.exact_total_leaves().is_none() {
+                    continue;
+                }
+                let decoded = decode_batched(&tables, &space, &walked(&tables, 1, 3_000));
+                assert_fanout_feasible(shape.name(), &space, &decoded);
+                walks += 1;
+            }
+        }
+    }
+    assert!(walks > 200, "{walks} spaces walked");
 }

@@ -115,6 +115,10 @@ struct Analyzer<'a> {
     tiles_at: Vec<u64>,
     /// Boundaries per dimension (`num_slots + 1`, identical for all).
     boundaries: usize,
+    /// Loop count of dimension `d` at slot `s`, flattened as
+    /// `loops[d.index() * slots + s]`: computed once here rather than
+    /// once per loop walk.
+    loops: Vec<u64>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -123,21 +127,30 @@ impl<'a> Analyzer<'a> {
         let mut tiles_at = Vec::with_capacity(Dim::ALL.len() * boundaries);
         let mut scratch = ProfileScratch::new();
         let mut counts = Vec::with_capacity(boundaries);
+        let mut loops = Vec::with_capacity(Dim::ALL.len() * (boundaries - 1));
         for d in Dim::ALL {
             mapping.boundary_tile_counts_into(d, &mut scratch, &mut counts);
             tiles_at.extend_from_slice(&counts);
+            let chain = mapping.tile_chain(d);
+            loops.extend(chain.windows(2).map(|w| w[1].div_ceil(w[0])));
         }
         Analyzer {
             shape,
             mapping,
             tiles_at,
             boundaries,
+            loops,
         }
     }
 
     /// Exact number of tiles of `d` at chain boundary `b`.
     fn tiles(&self, d: Dim, b: usize) -> u64 {
         self.tiles_at[d.index() * self.boundaries + b]
+    }
+
+    /// The loop count of `d` at `slot` ([`Mapping::loop_count`]).
+    fn loop_count(&self, d: Dim, slot: SlotId) -> u64 {
+        self.loops[d.index() * (self.boundaries - 1) + slot.index()]
     }
 
     /// Nontrivial temporal loops outside boundary `b`, innermost first
@@ -152,7 +165,7 @@ impl<'a> Analyzer<'a> {
                 self.mapping
                     .permutation(level)
                     .iter()
-                    .map(move |&d| (d, self.mapping.loop_count(d, s)))
+                    .map(move |&d| (d, self.loop_count(d, s)))
             })
             .filter(|&(_, c)| c > 1)
     }
@@ -187,7 +200,7 @@ impl<'a> Analyzer<'a> {
                 if tensor.is_relevant(d) {
                     continue;
                 }
-                let c = self.mapping.loop_count(d, slot);
+                let c = self.loop_count(d, slot);
                 if c > 1 {
                     mult *= c as f64;
                 }

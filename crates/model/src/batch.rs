@@ -72,10 +72,12 @@ struct CapEntry {
 /// Struct-of-arrays batch evaluator over a prepared [`EvalContext`].
 ///
 /// Usage: decode candidates into [`Self::slot`] / [`Self::commit`]
-/// until [`Self::is_full`], run [`Self::screen`] for per-lane
-/// verdicts, cost the valid lanes ([`Self::summary`], or
-/// [`Self::report`] for keepers), then [`Self::clear`] and refill. All
-/// scratch is allocated once and reused across batches.
+/// until [`Self::is_full`] (or several at once into
+/// [`Self::free_slots`] / [`Self::commit_fanout_feasible`]), run
+/// [`Self::screen`] for per-lane verdicts, cost the valid lanes
+/// ([`Self::summary`], or [`Self::report`] for keepers), then
+/// [`Self::clear`] and refill. All scratch is allocated once and reused
+/// across batches.
 ///
 /// # Examples
 ///
@@ -112,6 +114,9 @@ pub struct BatchEvalContext<'c, 'a> {
     /// Row-major tile footprints: `foot[row * BATCH + lane]`, one row
     /// per `(capacity level, stored operand)` pair.
     foot: Vec<u64>,
+    /// Lanes committed as fanout-feasible: their extents are not
+    /// gathered, and [`Self::screen`] passes their fanout wall.
+    fanout_feasible: [bool; BATCH],
     verdicts: Vec<BatchVerdict>,
 }
 
@@ -167,6 +172,7 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
             sx: vec![0; num_levels * BATCH],
             sy: vec![0; num_levels * BATCH],
             foot: vec![0; rows * BATCH],
+            fanout_feasible: [false; BATCH],
             verdicts: vec![BatchVerdict::RejectFanout; BATCH],
         }
     }
@@ -225,6 +231,46 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
             self.sx[level * BATCH + lane] = x;
             self.sy[level * BATCH + lane] = y;
         }
+        self.fanout_feasible[lane] = false;
+        self.gather_footprints(lane);
+        self.len = lane + 1;
+    }
+
+    /// The free lanes' mappings, for a decoder that fills several at
+    /// once; [`Self::commit_fanout_feasible`] commits them.
+    pub fn free_slots(&mut self) -> &mut [Mapping] {
+        &mut self.slots[self.len..]
+    }
+
+    /// Commits the first `lanes` of [`Self::free_slots`] as candidates
+    /// known to fit every level's spatial fanout, such as leaves decoded
+    /// from `EnumTables`, whose regions are fanout-feasible by
+    /// construction. Only their tile footprints are gathered, and
+    /// [`Self::screen`] takes their fanout wall as passed (checked in
+    /// debug builds).
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than `lanes` lanes are free.
+    pub fn commit_fanout_feasible(&mut self, lanes: usize) {
+        assert!(
+            self.len + lanes <= BATCH,
+            "{lanes} lanes do not fit; screen() and clear() first"
+        );
+        for lane in self.len..self.len + lanes {
+            debug_assert!(
+                crate::validity::check_fanout(self.ctx.arch(), &self.slots[lane]).is_ok(),
+                "lane {lane} committed as fanout-feasible exceeds a fanout"
+            );
+            self.fanout_feasible[lane] = true;
+            self.gather_footprints(lane);
+        }
+        self.len += lanes;
+    }
+
+    /// Gathers `lane`'s tile footprints into the SoA scratch.
+    fn gather_footprints(&mut self, lane: usize) {
+        let mapping = &self.slots[lane];
         let tensors = self.ctx.tensors();
         for entry in &self.caps {
             let tile = mapping.tile_at_level(entry.level);
@@ -232,7 +278,6 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
                 self.foot[row * BATCH + lane] = tensors[op.index()].footprint(&tile);
             }
         }
-        self.len = lane + 1;
     }
 
     /// A committed lane's mapping.
@@ -246,7 +291,9 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
     /// contiguous per-level sweeps over the gathered scratch. Verdicts
     /// classify each lane exactly as [`EvalContext::precheck`] would —
     /// fanout failures win over capacity failures, and valid lanes
-    /// carry the identical buffer pressure.
+    /// carry the identical buffer pressure. Lanes committed by
+    /// [`Self::commit_fanout_feasible`] pass the fanout wall unchecked,
+    /// and a batch of only such lanes skips the fanout pass.
     ///
     /// Feeds the scalar rejection counters (`model.reject.*`,
     /// `model.eval.valid`) plus the batch-shape counters
@@ -254,13 +301,18 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
     pub fn screen(&mut self) -> &[BatchVerdict] {
         let n = self.len;
         let mut fan_ok = [true; BATCH];
-        for level in 0..self.fan_x.len() {
-            let fx = self.fan_x[level];
-            let fy = self.fan_y[level];
-            let sx = &self.sx[level * BATCH..level * BATCH + n];
-            let sy = &self.sy[level * BATCH..level * BATCH + n];
-            for lane in 0..n {
-                fan_ok[lane] &= (sx[lane] <= fx) & (sy[lane] <= fy);
+        if !self.fanout_feasible[..n].iter().all(|&f| f) {
+            for level in 0..self.fan_x.len() {
+                let fx = self.fan_x[level];
+                let fy = self.fan_y[level];
+                let sx = &self.sx[level * BATCH..level * BATCH + n];
+                let sy = &self.sy[level * BATCH..level * BATCH + n];
+                for lane in 0..n {
+                    fan_ok[lane] &= (sx[lane] <= fx) & (sy[lane] <= fy);
+                }
+            }
+            for (ok, &feasible) in fan_ok.iter_mut().zip(&self.fanout_feasible[..n]) {
+                *ok |= feasible;
             }
         }
 
@@ -321,10 +373,11 @@ impl<'c, 'a> BatchEvalContext<'c, 'a> {
     /// Lean cost of a lane [`Self::screen`] declared valid —
     /// bit-identical to the corresponding [`CostReport`] fields (see
     /// [`crate::summarize_with`]). `steps` is the lane's
-    /// [`Mapping::compute_cycles`], which the search has already computed
-    /// for its cost floor; passing it in keeps the latency pass from
-    /// recomputing it. Costing a rejected lane is a logic error: the
-    /// result would describe an unrunnable mapping.
+    /// [`Mapping::compute_cycles`], which the search already holds for
+    /// its cost floor (read from the enumeration tables, or computed);
+    /// passing it in keeps the latency pass from recomputing it. Costing
+    /// a rejected lane is a logic error: the result would describe an
+    /// unrunnable mapping.
     pub fn summary(&self, lane: usize, steps: u64) -> CostSummary {
         assert!(lane < self.len, "lane {lane} not committed");
         summarize_unchecked(self.ctx, &self.slots[lane], steps)
@@ -419,6 +472,47 @@ mod tests {
         for (lane, m) in mappings.iter().enumerate() {
             assert_eq!(got[lane], evaluate_with(&ctx, m), "lane {lane}");
         }
+    }
+
+    /// Lanes committed as fanout-feasible skip only their own fanout
+    /// wall: a plainly committed lane in the same batch still meets the
+    /// full ladder, fanout before capacity.
+    #[test]
+    fn fanout_feasible_lanes_leave_other_lanes_the_full_ladder() {
+        // One word of scratch: every tile above one element overflows it.
+        let arch = presets::toy_linear(9, 2);
+        let shape = ProblemShape::rank1("d", 100);
+        let ctx = EvalContext::new(&arch, &shape, ModelOptions::default());
+        let mut batch = BatchEvalContext::new(&ctx);
+        let mut builder = Mapping::builder(2);
+        let mut spatial = |s| {
+            builder.reset();
+            builder.set_tile(Dim::M, 0, SlotKind::SpatialX, s);
+            builder.build_for_bounds(shape.bounds()).unwrap()
+        };
+        let (fits, overflows) = (spatial(3), spatial(10));
+        batch.free_slots()[0].clone_from(&fits);
+        batch.commit_fanout_feasible(1);
+        batch.slot().clone_from(&overflows);
+        batch.commit();
+        let violations = ctx.violations(&overflows);
+        assert!(matches!(
+            violations[..],
+            [
+                InvalidMapping::FanoutExceeded { .. },
+                InvalidMapping::CapacityExceeded { .. },
+                ..
+            ]
+        ));
+        assert!(matches!(
+            ctx.precheck(&fits),
+            Err(InvalidMapping::CapacityExceeded { .. })
+        ));
+        let verdicts = batch.screen();
+        assert_eq!(
+            verdicts,
+            [BatchVerdict::RejectCapacity, BatchVerdict::RejectFanout]
+        );
     }
 
     #[test]

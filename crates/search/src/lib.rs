@@ -83,7 +83,7 @@ pub(crate) mod sync {
 #[cfg(test)]
 mod interleave_tests;
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
@@ -331,10 +331,15 @@ impl Default for SearchConfig {
 }
 
 /// The machine's available parallelism, or 1 when it cannot be queried.
+/// Queried once per process: the query reads cgroup files, and every
+/// `SearchConfig::default()` asks for it.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Spreads `(seed, thread)` into a decorrelated per-thread RNG seed.

@@ -11,14 +11,22 @@
 //! pair per worker, and re-seeding the permutation regenerates the
 //! remaining visit sequence bit-identically.
 //!
-//! Candidates are decoded into a [`BatchEvalContext`] (SoA layout,
-//! [`BATCH`] lanes) and each lane climbs a three-step ladder:
+//! Each round reserves up to [`BATCH`] walk positions (one budget
+//! reservation and interrupt poll per candidate), then:
 //!
-//! 1. **Screen.** The branchless rejection ladder drops fanout- and
-//!    capacity-invalid lanes.
-//! 2. **Floor.** A valid lane's admissible cost floor
+//! 1. **Decode.** The reserved positions' leaves are decoded side by
+//!    side into a [`BatchEvalContext`] (SoA layout) by one
+//!    [`EnumTables::leaves_into`] call, so the lanes' table loads
+//!    overlap. Listed tables (PFM, Ruby-S) hand over each lane's
+//!    sequential steps with its chains.
+//! 2. **Screen.** Regions are fanout-feasible by construction, so the
+//!    lanes are committed without their spatial extents
+//!    ([`BatchEvalContext::commit_fanout_feasible`]) and the branchless
+//!    ladder runs only its capacity pass.
+//! 3. **Floor.** A valid lane's admissible cost floor
 //!    ([`Objective::cost_floor`] of the context's energy floor and the
-//!    lane's own sequential steps) is compared with the running best.
+//!    lane's sequential steps: the tables' for listed spaces, computed
+//!    for counted ones) is compared with the running best.
 //!    When it exceeds `best × (1 + FLOOR_SLACK)` the lane cannot
 //!    improve, so it is counted as a valid non-improving candidate
 //!    without being costed. The comparison is strict because ties reach
@@ -29,15 +37,16 @@
 //!    improved on a newer one either, at any thread count. The step is
 //!    off when the hybrid warm-up's memo is present, since that memo
 //!    must store every valid lane's exact cost.
-//! 3. **Summary.** Surviving lanes pay the full cost pass, reusing the
+//! 4. **Summary.** Surviving lanes pay the full cost pass, reusing the
 //!    step count from the floor. Only improvements materialize a full
 //!    [`ruby_model::CostReport`]; the other lanes stop at the
 //!    allocation-free [`CostSummary`], whose objective cost is
 //!    bit-identical (see the batch differential test).
 //!
-//! Skipping changes no outcome and no counter: the walk order, `valid`,
-//! the victory counter and the best are exactly those of costing every
-//! lane (see `tests/walk_bound_skip.rs`).
+//! None of this changes an outcome or a counter: the walk order,
+//! `valid`, the victory counter and the best are exactly those of
+//! decoding, fully screening and costing every lane one at a time (see
+//! `tests/walk_bound_skip.rs`).
 //!
 //! The per-candidate protocol (budget reservation with undo, interrupt
 //! polls before reservations, progress strides, victory-counter
@@ -259,6 +268,8 @@ fn walk_loop(
         .is_none()
         .then(|| (config.objective, batch.context().energy_floor()));
     let mut ordinals = [0u64; BATCH];
+    let mut leaves = [0u64; BATCH];
+    let mut steps = [0u64; BATCH];
     let mut verdicts = [BatchVerdict::RejectFanout; BATCH];
     let mut saved_epoch = match cpr {
         // ordering: Relaxed — value-only counter read at a barrier.
@@ -295,11 +306,12 @@ fn walk_loop(
                 ));
             }
         }
-        // Decode up to a batch of candidates; the walk only advances for
+        // Reserve up to a batch of candidates; the walk only advances for
         // candidates whose budget reservation succeeded.
         batch.clear();
         let mut dry = false;
-        while !batch.is_full() {
+        let mut lanes = 0;
+        while lanes < BATCH {
             // Interrupt poll sits before the budget reservation (exactly
             // like worker_loop) so stop tokens and deadlines fire
             // per-candidate even when the whole walk fits in one batch,
@@ -323,30 +335,40 @@ fn walk_loop(
                     break;
                 }
             }
-            if walk.next_into(batch.slot()).is_none() {
+            let Some(leaf) = walk.next_index() else {
                 // This worker's slice of the walk ran dry: hand the
                 // unused reservation back.
                 // ordering: Relaxed — same counter discipline as above.
                 shared.evals.fetch_sub(1, Ordering::Relaxed);
                 dry = true;
                 break;
-            }
+            };
             // One masked branch per candidate; the publish itself runs
             // once per stride per thread (see worker_loop).
             if evals & (engine::PROGRESS_STRIDE - 1) == 0 {
                 shared.publish_progress();
             }
-            ordinals[batch.len()] = evals;
-            batch.commit();
+            ordinals[lanes] = evals;
+            leaves[lanes] = leaf;
+            lanes += 1;
         }
-        let lanes = batch.len();
+        // Decode the reserved leaves side by side. Regions are
+        // fanout-feasible by construction, so the lanes skip the fanout
+        // wall; listed tables also hand over each lane's steps.
+        let listed = walk.tables().leaves_into(
+            &leaves[..lanes],
+            &mut batch.free_slots()[..lanes],
+            &mut steps[..lanes],
+        );
+        batch.commit_fanout_feasible(lanes);
         if lanes > 0 {
             verdicts[..lanes].copy_from_slice(batch.screen());
         }
         let mut skipped = 0u64;
         for lane in 0..lanes {
             let valid = matches!(verdicts[lane], BatchVerdict::Valid { .. });
-            match score_lane(batch, lane, valid, bound, shared) {
+            let steps = listed.then_some(steps[lane]);
+            match score_lane(batch, lane, valid, steps, bound, shared) {
                 LaneScore::Invalid => {
                     // ordering: Relaxed — statistics counter, read only
                     // after the thread join barrier.
@@ -435,14 +457,16 @@ enum LaneScore {
 
 /// The per-lane model-call site: runs the `search.eval` failpoint (so
 /// resilience tests can inject evaluation panics on this path too, on
-/// every lane), then bounds and summarizes screened-valid lanes. With
-/// `bound = Some((objective, energy floor))` a valid lane whose cost
-/// floor exceeds the running best by more than [`FLOOR_SLACK`] skips
-/// the summary.
+/// every lane), then bounds and summarizes screened-valid lanes. `steps`
+/// is the lane's step count when the decoder read it from the tables;
+/// otherwise a valid lane computes it. With `bound = Some((objective,
+/// energy floor))` a valid lane whose cost floor exceeds the running
+/// best by more than [`FLOOR_SLACK`] skips the summary.
 fn score_lane(
     batch: &BatchEvalContext<'_, '_>,
     lane: usize,
     valid: bool,
+    steps: Option<u64>,
     bound: Option<(Objective, f64)>,
     shared: &Shared,
 ) -> LaneScore {
@@ -458,7 +482,9 @@ fn score_lane(
         if !valid {
             return LaneScore::Invalid;
         }
-        let steps = batch.mapping(lane).compute_cycles();
+        let mapping = batch.mapping(lane);
+        let steps = steps.unwrap_or_else(|| mapping.compute_cycles());
+        debug_assert_eq!(steps, mapping.compute_cycles(), "table steps");
         if let Some((objective, energy_floor)) = bound {
             // ordering: Relaxed — value-only snapshot of the best cost.
             // The best only decreases, so a stale read skips less, never
