@@ -140,6 +140,11 @@ fn random_kill_and_resume_matches_uninterrupted() {
 }
 
 #[test]
+fn sampled_kill_and_resume_matches_uninterrupted() {
+    kill_and_resume(SearchStrategy::Sampled);
+}
+
+#[test]
 fn exhaustive_kill_and_resume_matches_uninterrupted() {
     kill_and_resume(SearchStrategy::Exhaustive);
 }
@@ -266,19 +271,18 @@ mod failpoints {
         });
     }
 
-    #[test]
-    fn injected_eval_panics_are_contained_and_counted() {
+    /// Panics on every fresh evaluation from the 10th on; a generous
+    /// restart budget lets the run absorb all of them.
+    fn eval_panics_are_contained_and_counted(strategy: SearchStrategy) {
         let _guard = inject();
         quiet_panics();
         ruby_failpoints::reset();
-        // Panic on every fresh evaluation from the 10th on; a generous
-        // restart budget lets the run absorb all of them.
         assert!(ruby_failpoints::arm("search.eval", "panic@10"));
         let space = toy_space();
         let config = SearchConfig::builder()
             .seed(42)
             .threads(1)
-            .strategy(SearchStrategy::Random)
+            .strategy(strategy)
             .max_evaluations(2_000)
             .no_termination()
             .max_worker_restarts(100_000)
@@ -304,6 +308,16 @@ mod failpoints {
     }
 
     #[test]
+    fn injected_eval_panics_are_contained_and_counted() {
+        eval_panics_are_contained_and_counted(SearchStrategy::Random);
+    }
+
+    #[test]
+    fn injected_eval_panics_in_the_sampler_are_contained_and_counted() {
+        eval_panics_are_contained_and_counted(SearchStrategy::Sampled);
+    }
+
+    #[test]
     fn injected_eval_panics_in_the_sweep_are_contained() {
         let _guard = inject();
         quiet_panics();
@@ -319,19 +333,18 @@ mod failpoints {
         assert!(outcome.best.is_some());
     }
 
-    #[test]
-    fn exhausted_restart_budget_stops_the_run_gracefully() {
+    /// Every evaluation panics: the per-worker restart budget drains and
+    /// the run stops early instead of aborting the process.
+    fn restart_budget_drains_to_worker_failures(strategy: SearchStrategy) {
         let _guard = inject();
         quiet_panics();
         ruby_failpoints::reset();
-        // Every evaluation panics: the per-worker restart budget drains
-        // and the run stops early instead of aborting the process.
         assert!(ruby_failpoints::arm("search.eval", "panic"));
         let space = toy_space();
         let config = SearchConfig::builder()
             .seed(42)
             .threads(1)
-            .strategy(SearchStrategy::Random)
+            .strategy(strategy)
             .max_evaluations(2_000)
             .no_termination()
             .max_worker_restarts(3)
@@ -342,6 +355,16 @@ mod failpoints {
         assert!(outcome.stopped_early);
         assert_eq!(outcome.stop_reason.as_deref(), Some("worker-failures"));
         assert!(outcome.worker_restarts >= 3);
+    }
+
+    #[test]
+    fn exhausted_restart_budget_stops_the_run_gracefully() {
+        restart_budget_drains_to_worker_failures(SearchStrategy::Random);
+    }
+
+    #[test]
+    fn exhausted_restart_budget_stops_the_sampler_gracefully() {
+        restart_budget_drains_to_worker_failures(SearchStrategy::Sampled);
     }
 
     #[test]
