@@ -40,8 +40,9 @@ fn main() {
 
 /// A few hundred candidates per row, single-threaded: fails the process
 /// when any row finds no valid mapping, when the random walk repeats a
-/// candidate, or when single-thread warm or cold random throughput
-/// falls below half the committed `BENCH_search.json` baseline.
+/// candidate, or when single-thread warm or cold random or sampled
+/// throughput falls below half the committed `BENCH_search.json`
+/// baseline.
 fn smoke() {
     let report = throughput::run(300, 1, &[1]);
     print!("{}", throughput::render(&report));
@@ -68,11 +69,11 @@ fn smoke() {
     println!("smoke ok: all strategies found valid mappings");
 }
 
-/// Regression guard: single-thread throughput of the `random` and
-/// `random-cold` rows must stay above half their committed
+/// Regression guard: single-thread throughput of the `random`,
+/// `random-cold` and `sampled` rows must stay above half their committed
 /// `BENCH_search.json` points. Re-measured best-of-3 at a larger budget
 /// than the validity smoke so timer noise and cold caches don't trip
-/// the gate: `random` at 2,000 candidates, `random-cold` at the
+/// the gate: the warm rows at 2,000 candidates, `random-cold` at the
 /// baseline's own budget (tabulation is a fixed cost per run, so its
 /// samples/sec depends on the budget). A baseline that does not parse
 /// or carries another schema fails the smoke: it has to be regenerated,
@@ -103,7 +104,7 @@ fn throughput_floor() {
     let warm = throughput::space();
     for row in throughput::ROWS
         .into_iter()
-        .filter(|r| r.strategy == SearchStrategy::Random)
+        .filter(|r| matches!(r.strategy, SearchStrategy::Random | SearchStrategy::Sampled))
     {
         let Some(base) = baseline
             .points

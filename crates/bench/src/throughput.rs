@@ -126,7 +126,7 @@ pub struct Row {
 }
 
 /// The rows measured, in reporting order.
-pub const ROWS: [Row; 4] = [
+pub const ROWS: [Row; 5] = [
     Row {
         name: "random",
         strategy: SearchStrategy::Random,
@@ -136,6 +136,11 @@ pub const ROWS: [Row; 4] = [
         name: "random-cold",
         strategy: SearchStrategy::Random,
         cold: true,
+    },
+    Row {
+        name: "sampled",
+        strategy: SearchStrategy::Sampled,
+        cold: false,
     },
     Row {
         name: "exhaustive",

@@ -2,9 +2,11 @@
 //! scalar path.
 //!
 //! For every architecture preset, >10k sampled mappings (the same
-//! generate-then-filter distribution the random search sees, so the mix
-//! includes fanout-invalid, capacity-invalid and valid candidates) are
-//! pushed through [`BatchEvalContext::evaluate`] in full batches and
+//! generate-then-filter distribution the random search sees, with every
+//! fourth one pushed past a spatial fanout, since the sampler splits
+//! each fanout sequentially and never exceeds it; so the mix includes
+//! fanout-invalid, capacity-invalid and valid candidates) are pushed
+//! through [`BatchEvalContext::evaluate`] in full batches and
 //! compared lane-by-lane against scalar [`evaluate_with`]: identical
 //! `Ok`/`Err` verdicts, identical first-failure errors, and bitwise
 //! identical `CostReport`s. Valid lanes additionally check the lean
@@ -13,15 +15,39 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use ruby_arch::{presets, Architecture};
+use ruby_mapping::Mapping;
 use ruby_mapspace::{Mapspace, MapspaceKind};
 use ruby_model::{
-    evaluate_with, summarize_with, BatchEvalContext, BatchVerdict, EvalContext, ModelOptions,
+    evaluate_with, summarize_with, BatchEvalContext, BatchVerdict, EvalContext, InvalidMapping,
+    ModelOptions,
 };
-use ruby_workload::ProblemShape;
-
-use ruby_arch::presets;
+use ruby_workload::{Dim, DimMap, ProblemShape};
 
 const SAMPLES: usize = 10_016; // > 10k, a whole number of 64-lane batches
+
+/// Gives one spatial-X slot `fanout + 1` iterations, starting the search
+/// for an overflowable level at `level`: the dimension's inner factors
+/// become 1 and its outer tiles grow to at least the new one, so the
+/// chain stays well-formed.
+fn overflow_fanout(mapping: &mut Mapping, arch: &Architecture, bounds: &DimMap<u64>, level: usize) {
+    let levels = arch.num_levels();
+    for level in (level..level + levels).map(|l| l % levels) {
+        let fan = arch.level(level).fanout().x();
+        let Some(dim) = Dim::ALL.into_iter().find(|&d| bounds[d] > fan) else {
+            continue;
+        };
+        let slot = mapping.layout().spatial_x_slot(level).index();
+        let chain = mapping.tile_chain_mut(dim);
+        chain[..=slot].fill(1);
+        for tile in &mut chain[slot + 1..] {
+            *tile = (*tile).max(fan + 1);
+        }
+        chain[slot + 1] = fan + 1;
+        return;
+    }
+    panic!("no dimension can overflow any fanout");
+}
 
 fn differential(space: &Mapspace, seed: u64) {
     let ctx = EvalContext::new(space.arch(), space.shape(), ModelOptions::default());
@@ -30,11 +56,21 @@ fn differential(space: &Mapspace, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut scalar = Vec::new();
     let mut done = 0usize;
+    let mut fanout_rejects = 0usize;
     while done < SAMPLES {
         batch.clear();
         scalar.clear();
         while !batch.is_full() && done + batch.len() < SAMPLES {
+            let drawn = done + batch.len();
             sampler.sample_into(batch.slot(), &mut rng);
+            if drawn % 4 == 3 {
+                overflow_fanout(
+                    batch.slot(),
+                    space.arch(),
+                    space.shape().bounds(),
+                    drawn / 4,
+                );
+            }
             scalar.push(evaluate_with(&ctx, batch.slot()));
             batch.commit();
         }
@@ -69,19 +105,19 @@ fn differential(space: &Mapspace, seed: u64) {
                 (Ok(_), BatchVerdict::Valid { pressure }) => {
                     assert_eq!(pressure, ctx.precheck(batch.mapping(lane)).unwrap());
                 }
-                (
-                    Err(ruby_model::InvalidMapping::FanoutExceeded { .. }),
-                    BatchVerdict::RejectFanout,
-                ) => {}
-                (
-                    Err(ruby_model::InvalidMapping::CapacityExceeded { .. }),
-                    BatchVerdict::RejectCapacity,
-                ) => {}
+                (Err(InvalidMapping::FanoutExceeded { .. }), BatchVerdict::RejectFanout) => {
+                    fanout_rejects += 1;
+                }
+                (Err(InvalidMapping::CapacityExceeded { .. }), BatchVerdict::RejectCapacity) => {}
                 (want, got) => panic!("lane {}: scalar {want:?} vs ladder {got:?}", done + lane),
             }
         }
         done += lanes;
     }
+    assert!(
+        fanout_rejects >= SAMPLES / 4,
+        "only {fanout_rejects} fanout-invalid lanes"
+    );
 }
 
 #[test]

@@ -30,20 +30,17 @@
 //! assert_eq!(outcome.best.unwrap().report.cycles(), 8);
 //! ```
 
-use std::time::Instant;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ruby_mapping::Mapping;
 use ruby_mapspace::Mapspace;
-use ruby_model::{CostReport, EvalContext, ModelOptions};
+use ruby_model::{EvalContext, ModelOptions};
 use ruby_workload::{Dim, DimMap};
 
-use crate::checkpoint::{AnnealCursor, CheckpointCounters, Checkpointer, Cursor, SearchCheckpoint};
-use crate::stop::StopToken;
+use crate::checkpoint::{AnnealCursor, Checkpointer, Cursor, SearchCheckpoint};
 use crate::{
-    score_candidate, BestMapping, MemoCache, Objective, Scored, SearchOutcome, SearchStrategy,
+    engine, MemoCache, Objective, Rule, SearchConfig, SearchOutcome, SearchStrategy, Shared,
 };
 
 /// Annealing parameters.
@@ -84,150 +81,6 @@ impl Default for AnnealConfig {
     }
 }
 
-/// Resilience wiring handed down by the engine; every field defaults to
-/// "absent", so direct [`anneal`] callers get the historical behavior.
-#[derive(Default)]
-pub(crate) struct Hooks<'a> {
-    /// Cooperative cancellation token; polled once per step.
-    pub(crate) token: Option<&'a StopToken>,
-    /// Wall-clock budget (`SearchConfig::max_seconds`), already resolved
-    /// to an absolute deadline.
-    pub(crate) deadline: Option<Instant>,
-    /// Periodic checkpoint writer; also receives the drain checkpoint.
-    pub(crate) checkpointer: Option<&'a Checkpointer>,
-    /// A checkpoint to continue from (only its `Anneal` cursor is used;
-    /// the engine routes other cursors elsewhere).
-    pub(crate) resume: Option<&'a SearchCheckpoint>,
-}
-
-/// A candidate's classification through the memo cache.
-enum Classified {
-    /// Memoized finite cost: usable, but carries no fresh report.
-    Hit(f64),
-    /// Freshly evaluated valid mapping.
-    Fresh(f64, CostReport),
-    /// Invalid (fresh, memoized, or quarantined after a panic).
-    Invalid,
-}
-
-/// The annealer's single-threaded ledger: everything a checkpoint needs
-/// beyond the cursor itself.
-#[derive(Default)]
-struct Tally {
-    evaluations: u64,
-    valid: u64,
-    invalid: u64,
-    duplicates: u64,
-    worker_restarts: u64,
-    quarantined: u64,
-    trace: Vec<(u64, f64)>,
-    poison: Vec<u64>,
-}
-
-impl Tally {
-    /// Classifies `m` through the memo, containing evaluation panics:
-    /// a panicking candidate is quarantined (counted invalid, memoized
-    /// as such, recorded in the poison list) and the walk continues.
-    fn classify(
-        &mut self,
-        ctx: &EvalContext,
-        config: &AnnealConfig,
-        memo: &Option<MemoCache>,
-        m: &Mapping,
-    ) -> Classified {
-        let key = m.canonical_key();
-        if let Some(memo) = memo {
-            if let Some(cost) = memo.probe(key) {
-                self.duplicates += 1;
-                return if cost == f64::INFINITY {
-                    Classified::Invalid
-                } else {
-                    Classified::Hit(cost)
-                };
-            }
-        }
-        match score_candidate(ctx, m) {
-            Scored::Valid(report) => {
-                self.valid += 1;
-                let cost = config.objective.cost(&report);
-                if let Some(memo) = memo {
-                    memo.insert(key, cost);
-                }
-                Classified::Fresh(cost, report)
-            }
-            Scored::Invalid => {
-                self.invalid += 1;
-                if let Some(memo) = memo {
-                    memo.insert(key, f64::INFINITY);
-                }
-                Classified::Invalid
-            }
-            Scored::Panicked => {
-                self.invalid += 1;
-                self.quarantined += 1;
-                self.worker_restarts += 1;
-                self.poison.push(key);
-                if let Some(memo) = memo {
-                    memo.insert(key, f64::INFINITY);
-                }
-                Classified::Invalid
-            }
-        }
-    }
-
-    /// Packages the ledger into a checkpoint around `cursor` (the
-    /// fingerprint is stamped by [`Checkpointer::save`]).
-    fn snapshot(
-        &self,
-        best: &Option<BestMapping>,
-        memo: &Option<MemoCache>,
-        cursor: Cursor,
-    ) -> SearchCheckpoint {
-        SearchCheckpoint {
-            fingerprint: 0,
-            strategy: SearchStrategy::Anneal.name().to_owned(),
-            counters: CheckpointCounters {
-                evaluations: self.evaluations,
-                valid: self.valid,
-                invalid: self.invalid,
-                duplicates: self.duplicates,
-                pruned_subtrees: 0,
-                pruned_mappings: 0,
-                improvements: self.trace.len() as u64,
-                fails: 0,
-                worker_restarts: self.worker_restarts,
-                quarantined: self.quarantined,
-            },
-            best: best.clone(),
-            best_ordinal: 0,
-            trace: self.trace.clone(),
-            memo: memo.as_ref().map(MemoCache::dump).unwrap_or_default(),
-            poison: self.poison.clone(),
-            cursor,
-        }
-    }
-
-    /// The final outcome; `stop_reason` is `Some` exactly when the walk
-    /// drained early.
-    fn outcome(self, best: Option<BestMapping>, stop_reason: Option<&str>) -> SearchOutcome {
-        SearchOutcome {
-            best,
-            evaluations: self.evaluations,
-            valid: self.valid,
-            invalid: self.invalid,
-            duplicates: self.duplicates,
-            pruned_subtrees: 0,
-            pruned_mappings: 0,
-            exhausted: false,
-            trace: self.trace,
-            stopped_early: stop_reason.is_some(),
-            stop_reason: stop_reason.map(str::to_owned),
-            worker_restarts: self.worker_restarts,
-            quarantined: self.quarantined,
-        }
-    }
-}
-
 /// The annealing acceptance rule. The RNG draw happens only when the
 /// candidate is strictly worse (short-circuit), which resume replay
 /// relies on for bit-identical streams.
@@ -242,19 +95,59 @@ fn accepts(rng: &mut SmallRng, cost: f64, current_cost: f64, temperature: f64) -
 ///
 /// Panics if `steps` is zero or `cooling` is not in `(0, 1]`.
 pub fn anneal(mapspace: &Mapspace, config: &AnnealConfig) -> SearchOutcome {
-    anneal_with(mapspace, config, Hooks::default())
+    let search = SearchConfig {
+        seed: config.seed,
+        max_evaluations: Some(config.steps),
+        termination: None,
+        threads: 1,
+        max_trace: usize::MAX,
+        objective: config.objective,
+        model: config.model,
+        strategy: SearchStrategy::Anneal,
+        dedup: config.dedup,
+        memo_bits: 16,
+        ..SearchConfig::default()
+    };
+    let mut shared = Shared::new(&search);
+    if config.dedup {
+        shared.memo = MemoCache::try_new(search.memo_bits);
+    }
+    run(mapspace, &search, config, &shared, None, None);
+    engine::collect(shared, false)
 }
 
-/// [`anneal`] with the engine's resilience wiring: cancellation, a
-/// wall-clock deadline, periodic checkpoints at step boundaries, and
-/// resume from an [`AnnealCursor`]. Every step boundary is a barrier
-/// (the walk is single-threaded), so a resumed run replays the exact
-/// RNG, temperature, and acceptance stream of an uninterrupted one.
-pub(crate) fn anneal_with(
+/// The engine's annealing parameters for `config` (strategy `Anneal`):
+/// `max_evaluations` becomes the step budget, the seed carries over and
+/// the annealing-specific knobs keep their [`AnnealConfig`] defaults.
+pub(crate) fn params(config: &SearchConfig) -> AnnealConfig {
+    let defaults = AnnealConfig::default();
+    AnnealConfig {
+        seed: config.seed,
+        steps: config.max_evaluations.unwrap_or(defaults.steps).max(1),
+        objective: config.objective,
+        model: config.model,
+        dedup: config.dedup,
+        ..defaults
+    }
+}
+
+/// Anneals against `shared` under the search protocol: candidates are
+/// scored and settled like every strategy's (memo, counters, best
+/// tracking, panic quarantine), interrupts are polled per step, and live
+/// progress is published. Step boundaries are the annealer's barriers —
+/// the walk is single-threaded — so periodic checkpoints land there, an
+/// interrupted run saves its drain cursor at the step it stopped before,
+/// and a run resumed from an [`AnnealCursor`] (with `shared` restored
+/// from the same checkpoint) replays the exact RNG, temperature and
+/// acceptance stream of an uninterrupted one.
+pub(crate) fn run(
     mapspace: &Mapspace,
+    search: &SearchConfig,
     config: &AnnealConfig,
-    hooks: Hooks<'_>,
-) -> SearchOutcome {
+    shared: &Shared,
+    cpr: Option<&Checkpointer>,
+    resume: Option<&AnnealCursor>,
+) {
     // justified: pre-engine API contract — these have always been
     // documented panics on nonsensical annealing parameters.
     assert!(config.steps > 0, "need at least one annealing step");
@@ -263,139 +156,79 @@ pub(crate) fn anneal_with(
         config.cooling > 0.0 && config.cooling <= 1.0,
         "cooling factor must be in (0, 1]"
     );
-    let ctx = EvalContext::new(mapspace.arch(), mapspace.shape(), config.model);
-    let memo = config.dedup.then(|| MemoCache::try_new(16)).flatten();
-    let mut tally = Tally::default();
-
-    let resume = hooks.resume.and_then(|cp| match &cp.cursor {
-        Cursor::Anneal(cursor) => Some((cp, cursor)),
-        _ => None,
-    });
-
-    let mut rng;
-    let mut current_mapping;
-    let mut current_cost;
-    let mut best: Option<BestMapping>;
-    let mut best_cost;
-    let mut temperature;
-    let start_step;
-    if let Some((cp, cursor)) = resume {
-        rng = SmallRng::from_state(cursor.rng);
-        current_mapping = cursor.current.clone();
-        current_cost = cursor.current_cost;
-        best = cp.best.clone();
-        best_cost = cp.best.as_ref().map_or(f64::INFINITY, |b| b.cost);
-        temperature = cursor.temperature;
-        start_step = cursor.step;
-        tally.evaluations = cp.counters.evaluations;
-        tally.valid = cp.counters.valid;
-        tally.invalid = cp.counters.invalid;
-        tally.duplicates = cp.counters.duplicates;
-        tally.worker_restarts = cp.counters.worker_restarts;
-        tally.quarantined = cp.counters.quarantined;
-        tally.trace = cp.trace.clone();
-        tally.poison = cp.poison.clone();
-        if let Some(memo) = &memo {
-            memo.restore(&cp.memo);
-        }
-    } else {
-        rng = SmallRng::seed_from_u64(config.seed);
-        // Find a valid starting point by rejection sampling.
-        let mut start: Option<(Mapping, f64, CostReport)> = None;
-        for _ in 0..config.max_restart_attempts {
-            tally.evaluations += 1;
-            let candidate = mapspace.sample(&mut rng);
-            if let Classified::Fresh(cost, report) = tally.classify(&ctx, config, &memo, &candidate)
-            {
-                tally.trace.push((tally.evaluations, cost));
-                start = Some((candidate, cost, report));
-                break;
-            }
-        }
-        let Some((mapping, cost, report)) = start else {
-            return tally.outcome(None, None);
-        };
-        current_cost = cost;
-        temperature = cost * config.initial_temperature;
-        best = Some(BestMapping {
-            mapping: mapping.clone(),
-            report,
-            cost,
-        });
-        best_cost = cost;
-        current_mapping = mapping;
-        start_step = 0;
-    }
-
-    let mut stop_reason: Option<&str> = None;
-    for step in start_step..config.steps {
-        // Step boundaries are the annealer's barriers: drain checks and
-        // checkpoints happen here, before the step consumes any RNG.
-        let drained = if hooks
-            .token
-            .is_some_and(|t| t.should_stop_at(tally.evaluations))
-        {
-            stop_reason = Some("stop-requested");
-            true
-        } else if hooks.deadline.is_some_and(|d| Instant::now() >= d) {
-            stop_reason = Some("deadline");
-            true
-        } else {
-            false
-        };
-        let cursor = || {
-            Cursor::Anneal(AnnealCursor {
+    let ctx = EvalContext::new(mapspace.arch(), mapspace.shape(), search.model);
+    // Scores and settles one candidate; `Some(cost)` when it is valid.
+    let consider = |candidate: &Mapping, ordinal: u64| {
+        let key = candidate.canonical_key();
+        let scored = shared.score(&ctx, search.objective, candidate, key);
+        shared.settle(search, Rule::Local, candidate, Some(key), ordinal, scored)
+    };
+    shared.progress_thread_started();
+    // Between steps the walk is exactly what a cursor freezes; only its
+    // `rng` field goes stale, and a save reads the live generator.
+    let (mut rng, mut walk) = match resume {
+        Some(cursor) => (SmallRng::from_state(cursor.rng), cursor.clone()),
+        None => {
+            let mut rng = SmallRng::seed_from_u64(config.seed);
+            // Find a valid starting point by rejection sampling: the
+            // first valid sample is the first best.
+            let start = (0..config.max_restart_attempts).find_map(|_| {
+                let ordinal = shared.charge();
+                let candidate = mapspace.sample(&mut rng);
+                consider(&candidate, ordinal).map(|cost| (candidate, cost))
+            });
+            let Some((current, current_cost)) = start else {
+                shared.progress_thread_stopped();
+                return;
+            };
+            let walk = AnnealCursor {
                 rng: rng.to_state(),
-                step,
-                temperature,
+                step: 0,
+                temperature: current_cost * config.initial_temperature,
                 current_cost,
-                current: current_mapping.clone(),
-            })
-        };
-        if drained {
-            if let Some(cpr) = hooks.checkpointer {
-                cpr.save(tally.snapshot(&best, &memo, cursor()));
-            }
+                current,
+            };
+            (rng, walk)
+        }
+    };
+    let start_step = walk.step;
+    let save = |walk: &AnnealCursor, rng: &SmallRng| {
+        if let Some(cpr) = cpr {
+            let cursor = Cursor::Anneal(AnnealCursor {
+                rng: rng.to_state(),
+                ..walk.clone()
+            });
+            cpr.save(SearchCheckpoint::capture(shared, search, cursor));
+        }
+    };
+    while walk.step < config.steps {
+        if cpr.is_some_and(|cpr| walk.step > start_step && walk.step.is_multiple_of(cpr.stride())) {
+            save(&walk, &rng);
+        }
+        // The poll runs before the step consumes any RNG.
+        let Some(ordinal) = shared.reserve(None) else {
             break;
+        };
+        if ordinal & (engine::PROGRESS_STRIDE - 1) == 0 {
+            shared.publish_progress();
         }
-        if let Some(cpr) = hooks.checkpointer {
-            if step > start_step && step.is_multiple_of(cpr.stride()) {
-                cpr.save(tally.snapshot(&best, &memo, cursor()));
+        let candidate = neighbor(mapspace, &walk.current, &mut rng);
+        walk.temperature *= config.cooling;
+        // Memo duplicates are accepted on their recorded cost; only a
+        // fresh candidate can improve the best, which it can only do
+        // when accepted (the best never exceeds the current cost).
+        if let Some(cost) = consider(&candidate, ordinal) {
+            if accepts(&mut rng, cost, walk.current_cost, walk.temperature) {
+                walk.current = candidate;
+                walk.current_cost = cost;
             }
         }
-
-        tally.evaluations += 1;
-        let candidate = neighbor(mapspace, &current_mapping, &mut rng);
-        temperature *= config.cooling;
-        match tally.classify(&ctx, config, &memo, &candidate) {
-            Classified::Invalid => {}
-            Classified::Hit(cost) => {
-                if accepts(&mut rng, cost, current_cost, temperature) {
-                    // A memoized cost was evaluated (and best-tracked)
-                    // once already, so it can never beat `best` here.
-                    current_mapping = candidate;
-                    current_cost = cost;
-                }
-            }
-            Classified::Fresh(cost, report) => {
-                if accepts(&mut rng, cost, current_cost, temperature) {
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = Some(BestMapping {
-                            mapping: candidate.clone(),
-                            report,
-                            cost,
-                        });
-                        tally.trace.push((tally.evaluations, cost));
-                    }
-                    current_mapping = candidate;
-                    current_cost = cost;
-                }
-            }
-        }
+        walk.step += 1;
     }
-
-    tally.outcome(best, stop_reason)
+    if shared.is_stopped_early() {
+        save(&walk, &rng);
+    }
+    shared.progress_thread_stopped();
 }
 
 /// Produces a neighbor of `mapping` inside `mapspace`.

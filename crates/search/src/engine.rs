@@ -33,7 +33,7 @@ use ruby_mapspace::Mapspace;
 use ruby_telemetry::snapshot::{SearchSnapshot, SnapshotSlot};
 use ruby_telemetry::ProgressSink;
 
-use crate::anneal::{self, AnnealConfig};
+use crate::anneal;
 use crate::checkpoint::{
     self, CheckpointError, Checkpointer, Cursor, RandomPhase, SearchCheckpoint,
 };
@@ -775,14 +775,26 @@ fn dispatch(mapspace: &Mapspace, config: &SearchConfig, shared: &Shared, ctx: &R
             let remainder = config.max_evaluations.map(|b| b.saturating_sub(spent));
             exhaustive::run(mapspace, config, shared, remainder, cpr, None)
         }
-        // justified: dispatch callers peel off Anneal first
-        // (it has no Shared); reaching this arm is a programming error.
-        SearchStrategy::Anneal => unreachable!("anneal runs outside the Shared pipeline"),
+        SearchStrategy::Anneal => {
+            let resume = match cursor {
+                Some(Cursor::Anneal(c)) => Some(c),
+                _ => None,
+            };
+            anneal::run(
+                mapspace,
+                config,
+                &anneal::params(config),
+                shared,
+                cpr,
+                resume,
+            );
+            false
+        }
     }
 }
 
 /// Drains `shared` into the final outcome.
-fn collect(shared: Shared, exhausted: bool) -> SearchOutcome {
+pub(crate) fn collect(shared: Shared, exhausted: bool) -> SearchOutcome {
     // A panicking worker poisons the mutex but cannot leave the record
     // half-written (every update completes before unlock), so the poison
     // flag carries no information here and is safely discarded.
@@ -810,31 +822,6 @@ fn collect(shared: Shared, exhausted: bool) -> SearchOutcome {
     }
 }
 
-/// Maps a [`SearchConfig`] onto the annealer (strategy `Anneal`):
-/// `max_evaluations` becomes the step budget, everything else carries
-/// over; annealing-specific knobs keep their [`AnnealConfig`] defaults.
-fn run_anneal(mapspace: &Mapspace, config: &SearchConfig, ctx: &RunCtx) -> SearchOutcome {
-    let defaults = AnnealConfig::default();
-    let anneal_config = AnnealConfig {
-        seed: config.seed,
-        steps: config.max_evaluations.unwrap_or(defaults.steps).max(1),
-        objective: config.objective,
-        model: config.model,
-        dedup: config.dedup,
-        ..defaults
-    };
-    let hooks = anneal::Hooks {
-        token: ctx.token.as_ref(),
-        deadline: config
-            .max_seconds
-            .filter(|s| s.is_finite() && *s > 0.0)
-            .map(|s| Instant::now() + Duration::from_secs_f64(s)),
-        checkpointer: ctx.checkpointer.as_ref(),
-        resume: ctx.resume.as_ref(),
-    };
-    anneal::anneal_with(mapspace, &anneal_config, hooks)
-}
-
 /// The un-streamed execution path, with the resilience wiring attached.
 pub(crate) fn execute_ctx(
     mapspace: &Mapspace,
@@ -842,11 +829,6 @@ pub(crate) fn execute_ctx(
     ctx: &RunCtx,
 ) -> SearchOutcome {
     if let Some(outcome) = replay_done(ctx) {
-        return outcome;
-    }
-    if config.strategy == SearchStrategy::Anneal {
-        let outcome = run_anneal(mapspace, config, ctx);
-        finish_checkpoint(config, ctx, &outcome);
         return outcome;
     }
     validate_run(config);
@@ -910,13 +892,12 @@ fn finish_checkpoint(config: &SearchConfig, ctx: &RunCtx, outcome: &SearchOutcom
     }
 }
 
-/// A synthetic single snapshot for strategies that bypass [`Shared`]
-/// (annealing): emitted after the fact so every streamed run still
-/// yields at least one snapshot.
-fn snapshot_of_outcome(outcome: &SearchOutcome, elapsed: Duration) -> SearchSnapshot {
+/// The single snapshot streamed for a run replayed from its `Done`
+/// checkpoint.
+fn snapshot_of_outcome(outcome: &SearchOutcome) -> SearchSnapshot {
     SearchSnapshot {
         seq: 1,
-        elapsed_nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+        elapsed_nanos: 0,
         evaluations: outcome.evaluations,
         valid: outcome.valid,
         invalid: outcome.invalid,
@@ -952,16 +933,8 @@ fn run_streaming(
     if let Some(outcome) = replay_done(ctx) {
         // A finished run replayed from its `Done` checkpoint: stream the
         // recorded state so sinks still observe a complete run.
-        sink.emit(&snapshot_of_outcome(&outcome, Duration::ZERO));
+        sink.emit(&snapshot_of_outcome(&outcome));
         deliver_final(sink.as_mut(), &outcome);
-        return outcome;
-    }
-    if config.strategy == SearchStrategy::Anneal {
-        let start = Instant::now();
-        let outcome = run_anneal(mapspace, config, ctx);
-        sink.emit(&snapshot_of_outcome(&outcome, start.elapsed()));
-        deliver_final(sink.as_mut(), &outcome);
-        finish_checkpoint(config, ctx, &outcome);
         return outcome;
     }
     validate_run(config);
@@ -1217,22 +1190,42 @@ mod tests {
     }
 
     #[test]
-    fn streaming_anneal_synthesizes_one_snapshot() {
+    fn streaming_anneal_emits_snapshots_and_a_matching_summary() {
         let space = toy_space();
         let sink = MemorySink::new();
         let outcome = Engine::new(&space)
             .with_config(
                 SearchConfig::builder()
                     .strategy(SearchStrategy::Anneal)
-                    .max_evaluations(500)
+                    .max_evaluations(3_000)
+                    .threads(1)
                     .build()
                     .expect("valid config"),
             )
             .with_progress(Box::new(sink.clone()))
+            .progress_interval(Duration::from_millis(1))
             .run();
         let snapshots = sink.snapshots();
-        assert_eq!(snapshots.len(), 1);
-        assert_eq!(snapshots[0].evaluations, outcome.evaluations);
-        assert!(sink.summary().is_some());
+        assert!(!snapshots.is_empty(), "streaming must emit >= 1 snapshot");
+        // The annealer publishes from the shared counters, and the final
+        // snapshot follows the run, so it agrees with the outcome.
+        let last = snapshots.last().expect("non-empty");
+        assert_eq!(last.evaluations, outcome.evaluations);
+        assert_eq!(last.valid, outcome.valid);
+        assert_eq!(last.invalid, outcome.invalid);
+        assert_eq!(last.duplicates, outcome.duplicates);
+        assert_eq!(last.improvements, outcome.trace.len() as u64);
+        let best = outcome.best.as_ref().expect("annealing finds a mapping");
+        assert_eq!(last.best_cost_bits, best.cost.to_bits());
+        assert!(
+            snapshots.windows(2).all(|w| w[0].seq < w[1].seq),
+            "monitor must deduplicate by seq"
+        );
+        let summary = sink.summary().expect("finish must run");
+        let round_trip =
+            <SearchOutcome as serde::Deserialize>::from_value(&summary).expect("summary parses");
+        assert_eq!(round_trip.evaluations, outcome.evaluations);
+        assert_eq!(round_trip.duplicates, outcome.duplicates);
+        assert!(sink.metrics_dump().is_some(), "metrics follow the summary");
     }
 }

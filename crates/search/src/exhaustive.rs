@@ -53,10 +53,7 @@ use ruby_model::EvalContext;
 use crate::checkpoint::{
     Checkpointer, Cursor, ExhaustiveCursor, RandomCursor, RandomPhase, SearchCheckpoint,
 };
-use crate::{
-    note_tie_ordinal, quarantine, record_improvement, run_random, score_candidate, try_improve,
-    Scored, SearchConfig, Shared,
-};
+use crate::{run_random, Rule, SearchConfig, Shared};
 
 /// Candidates per work chunk: the unit of parallel dispatch and of the
 /// deterministic barrier at which pruning snapshots and the patience
@@ -303,9 +300,9 @@ pub(crate) fn run(
                 }
                 Err(_) => {
                     ordinal += 1;
-                    // ordering: Relaxed — statistics counters, read only
+                    shared.charge();
+                    // ordering: Relaxed — statistics counter, read only
                     // after the thread join barrier.
-                    shared.evals.fetch_add(1, Ordering::Relaxed);
                     shared.invalid.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(_) => {
@@ -381,10 +378,9 @@ pub(crate) fn run(
             }
             // Region subtree cut: the floor is admissible and the best
             // only improves, so nothing in here can win or tie.
-            // ordering: Relaxed — value-only best-cost snapshot; the
-            // counters below are statistics read after the join barrier.
-            let best = f64::from_bits(shared.best_bits.load(Ordering::Relaxed));
-            if config.prune && floor_cost[ri] > best {
+            if config.prune && floor_cost[ri] > shared.best_cost() {
+                // ordering: Relaxed — statistics counters, read after the
+                // join barrier.
                 shared.pruned_subtrees.fetch_add(1, Ordering::Relaxed);
                 // ordering: Relaxed — statistics counter, as above.
                 shared
@@ -421,9 +417,9 @@ pub(crate) fn run(
                         // charged like the random sampler's invalid
                         // draws.
                         ordinal += 1;
-                        // ordering: Relaxed — statistics counters, read
+                        shared.charge();
+                        // ordering: Relaxed — statistics counter, read
                         // only after the thread join barrier.
-                        shared.evals.fetch_add(1, Ordering::Relaxed);
                         shared.invalid.fetch_add(1, Ordering::Relaxed);
                         if ordinal >= select_budget {
                             stopped = true;
@@ -472,12 +468,10 @@ pub(crate) fn run(
                     .min(rw.cands.len() - rw.next)
                     .min(usize::try_from(select_budget - ordinal).unwrap_or(usize::MAX));
                 let chunk = &rw.cands[rw.next..rw.next + take];
-                // The snapshot is deterministic at this barrier; workers
-                // prune against it rather than the live (racy) best.
-                // ordering: Relaxed — value-only word; the previous
-                // chunk's thread joins ordered all its CAS updates
-                // before this read.
-                let snapshot = f64::from_bits(shared.best_bits.load(Ordering::Relaxed));
+                // The snapshot is deterministic at this barrier (the
+                // previous chunk's threads joined); workers prune against
+                // it rather than the live (racy) best.
+                let snapshot = shared.best_cost();
                 process_chunk(
                     tables,
                     &regions[rw.ri],
@@ -529,9 +523,9 @@ pub(crate) fn run(
     complete
 }
 
-/// Scores one enumeration candidate: memo probe, model evaluation, best
-/// and first-achiever bookkeeping. Returns the candidate's cost when it
-/// is valid (probes use it to rank regions).
+/// Charges and scores one enumeration candidate under the sweep's
+/// patience rule. Returns the candidate's cost when it is valid (probes
+/// use it to rank regions).
 fn consider(
     ctx: &EvalContext,
     config: &SearchConfig,
@@ -540,56 +534,9 @@ fn consider(
     ordinal: u64,
 ) -> Option<f64> {
     let key = mapping.canonical_key();
-    if let Some(memo) = &shared.memo {
-        if let Some(cost) = memo.probe(key) {
-            // ordering: Relaxed — statistics counters, read only after
-            // the thread join barrier.
-            shared.evals.fetch_add(1, Ordering::Relaxed);
-            shared.duplicates.fetch_add(1, Ordering::Relaxed);
-            if cost != f64::INFINITY {
-                note_tie_ordinal(shared, cost, ordinal);
-                return Some(cost);
-            }
-            return None;
-        }
-    }
-    match score_candidate(ctx, mapping) {
-        Scored::Valid(report) => {
-            // ordering: Relaxed — statistics counters, read only after
-            // the thread join barrier.
-            shared.evals.fetch_add(1, Ordering::Relaxed);
-            shared.valid.fetch_add(1, Ordering::Relaxed);
-            let cost = config.objective.cost(&report);
-            if let Some(memo) = &shared.memo {
-                memo.insert(key, cost);
-            }
-            if try_improve(shared, cost) {
-                record_improvement(shared, config, mapping, report, cost, ordinal);
-            }
-            Some(cost)
-        }
-        Scored::Invalid => {
-            // ordering: Relaxed — statistics counters, read only after
-            // the thread join barrier.
-            shared.evals.fetch_add(1, Ordering::Relaxed);
-            shared.invalid.fetch_add(1, Ordering::Relaxed);
-            if let Some(memo) = &shared.memo {
-                memo.insert(key, f64::INFINITY);
-            }
-            None
-        }
-        Scored::Panicked => {
-            // A panicking evaluation is contained per candidate: charge
-            // the reservation, quarantine the key (counted invalid so
-            // the accounting identity holds), and keep sweeping.
-            // ordering: Relaxed — statistics counters, read only after
-            // the thread join barrier.
-            shared.evals.fetch_add(1, Ordering::Relaxed);
-            quarantine(shared, key);
-            shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
+    shared.charge();
+    let scored = shared.score(ctx, config.objective, mapping, key);
+    shared.settle(config, Rule::Patience, mapping, Some(key), ordinal, scored)
 }
 
 /// Scores one chunk of screened candidates, threads striding the slice.
@@ -695,56 +642,19 @@ fn polish_permutations(
                         continue; // the swapped loops are trivial here
                     }
                     spent += 1;
-                    // ordering: Relaxed — statistics counter; the polish
-                    // phase is single-threaded anyway.
-                    shared.evals.fetch_add(1, Ordering::Relaxed);
-                    if let Some(memo) = &shared.memo {
-                        if memo.probe(key).is_some() {
-                            // Already evaluated (and best-tracked) once.
-                            // ordering: Relaxed — statistics counter.
-                            shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    }
-                    match score_candidate(&ctx, &cand) {
-                        Scored::Valid(report) => {
-                            // ordering: Relaxed — statistics counter.
-                            shared.valid.fetch_add(1, Ordering::Relaxed);
-                            let cost = config.objective.cost(&report);
-                            if let Some(memo) = &shared.memo {
-                                memo.insert(key, cost);
-                            }
-                            if cost < current_cost {
-                                if try_improve(shared, cost) {
-                                    record_improvement(
-                                        shared,
-                                        config,
-                                        &cand,
-                                        report,
-                                        cost,
-                                        base_ordinal + spent,
-                                    );
-                                }
-                                current = cand;
-                                current_cost = cost;
-                                current_key = key;
-                                improved = true;
-                            }
-                        }
-                        Scored::Invalid => {
-                            // ordering: Relaxed — statistics counter.
-                            shared.invalid.fetch_add(1, Ordering::Relaxed);
-                            if let Some(memo) = &shared.memo {
-                                memo.insert(key, f64::INFINITY);
-                            }
-                        }
-                        Scored::Panicked => {
-                            // Contained like the sweep: the reservation
-                            // above already charged `evals`.
-                            quarantine(shared, key);
-                            // ordering: Relaxed — statistic counter.
-                            shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                        }
+                    shared.charge();
+                    let scored = shared.score(&ctx, config.objective, &cand, key);
+                    let ordinal = base_ordinal + spent;
+                    // Memoized costs never beat the best, which the
+                    // current mapping holds, so only fresh improvements
+                    // move it.
+                    let settled =
+                        shared.settle(config, Rule::Local, &cand, Some(key), ordinal, scored);
+                    if let Some(cost) = settled.filter(|&cost| cost < current_cost) {
+                        current = cand;
+                        current_cost = cost;
+                        current_key = key;
+                        improved = true;
                     }
                 }
             }

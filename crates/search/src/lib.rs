@@ -29,6 +29,32 @@
 //! seed; with many, per-thread RNG streams are decorrelated by
 //! SplitMix64 seed spreading and only the improvement *order* can vary.
 //!
+//! # One protocol for every strategy
+//!
+//! The strategies differ only in where candidates come from: the
+//! rejection sampler draws one per round, the permuted walk decodes up
+//! to a batch, the sweep visits screened leaves in a fixed order and the
+//! annealer proposes neighbours. What happens to a candidate is written
+//! once, at the crate root:
+//!
+//! * **fan-out** — N workers (inline with one thread), joined, with the
+//!   drain checkpoint written from their final cursors on an early stop;
+//! * **supervision** — a worker body runs under `catch_unwind`; a panic
+//!   that escapes per-candidate containment quarantines the candidate in
+//!   flight and restarts the body, up to `max_worker_restarts` times;
+//! * **reservation** — poll the interrupt sources, then reserve one
+//!   evaluation against the budget, undoing it on overflow;
+//! * **containment** — scoring runs behind the `search.eval` failpoint
+//!   with panics caught per candidate;
+//! * **settlement** — a scored candidate (valid, floor-bounded, invalid,
+//!   memo duplicate or panicked) becomes counters, memo entries, best
+//!   tracking and the strategy's stopping state: Timeloop's victory
+//!   counter for the sampler and the walk, the patience ordinal for the
+//!   sweep, strict improvements for local search (the annealer and the
+//!   sweep's permutation polish). Only supervised workers drain on a
+//!   spent restart budget; the sweep and the annealer count panics but
+//!   keep going.
+//!
 //! # Examples
 //!
 //! All strategies run through the [`Engine`] facade; configurations come
@@ -209,10 +235,15 @@ pub enum SearchStrategy {
     /// A random warm-up (one third of the budget) to seed the pruning
     /// bound, then enumeration over the remainder.
     Hybrid,
-    /// Single-threaded simulated annealing ([`anneal`]), exposed here so
-    /// the [`Engine`] facade covers every backend; `max_evaluations`
-    /// maps onto the step budget, annealing-specific knobs keep their
-    /// [`anneal::AnnealConfig`] defaults.
+    /// Single-threaded simulated annealing ([`anneal`]) on the shared
+    /// candidate protocol (see the crate docs): neighbours are scored and
+    /// settled like any strategy's candidates, with strict best tracking;
+    /// stop tokens and deadlines are polled every step, checkpoints land
+    /// on step boundaries, and progress streams live. `max_evaluations`
+    /// maps onto the step budget (the search for a valid starting point
+    /// is charged on top), `termination` and `threads` do not apply, and
+    /// annealing-specific knobs keep their [`anneal::AnnealConfig`]
+    /// defaults.
     Anneal,
 }
 
@@ -667,62 +698,6 @@ impl Shared {
     }
 }
 
-/// Quarantines a candidate whose evaluation panicked: classifies it
-/// invalid, memoizes `+inf` (when the run has a memo) so no strategy
-/// retries it, and records its key in the poison list. The caller
-/// accounts for the evaluation reservation and the restart itself.
-fn quarantine(shared: &Shared, key: u64) {
-    // ordering: Relaxed — statistics counters, read after join barriers.
-    shared.invalid.fetch_add(1, Ordering::Relaxed);
-    shared.quarantined.fetch_add(1, Ordering::Relaxed);
-    if let Some(memo) = &shared.memo {
-        memo.insert(key, f64::INFINITY);
-    }
-    shared
-        .poison
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(key);
-}
-
-/// How one candidate scored, with panics contained.
-pub(crate) enum Scored {
-    /// The model accepted it.
-    Valid(CostReport),
-    /// The model rejected it (capacity / fanout violations).
-    Invalid,
-    /// Evaluation panicked (a model bug or the `search.eval` failpoint);
-    /// the caller quarantines the candidate.
-    Panicked,
-}
-
-/// The model-call site shared by every strategy: runs the `search.eval`
-/// failpoint (so resilience tests can inject evaluation panics) and
-/// converts outcomes into [`Scored`].
-pub(crate) fn score_candidate(ctx: &EvalContext, mapping: &Mapping) -> Scored {
-    let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if matches!(
-            ruby_failpoints::hit("search.eval"),
-            ruby_failpoints::Action::Panic
-        ) {
-            // justified: deliberate: this is the injected
-            // fault the supervised workers must recover from.
-            panic!("failpoint search.eval: injected evaluation panic");
-        }
-        evaluate_with(ctx, mapping)
-    }));
-    match evaluated {
-        Ok(Ok(report)) => Scored::Valid(report),
-        Ok(Err(_)) => Scored::Invalid,
-        Err(payload) => {
-            // Silence the payload; the panic is already contained and
-            // accounted for via quarantine.
-            drop(payload);
-            Scored::Panicked
-        }
-    }
-}
-
 struct Record {
     best: Option<BestMapping>,
     trace: Vec<(u64, f64)>,
@@ -735,7 +710,352 @@ struct Record {
     best_ordinal: u64,
 }
 
-/// Runs the random-sampling workers until `budget` (or termination).
+/// How one candidate scored.
+enum Scored<R> {
+    /// Its canonical key was already memoized with this cost (`+inf` =
+    /// invalid), so it was not scored again.
+    Duplicate(f64),
+    /// The model accepted it at this objective cost. `R` materializes
+    /// the full report; settlement calls it only on an improvement.
+    Valid(f64, R),
+    /// Valid, but its admissible cost floor already loses to the best,
+    /// so it was never costed: it can neither improve nor tie.
+    Bounded,
+    /// The model rejected it (capacity / fanout violations).
+    Invalid,
+    /// Scoring panicked (a model bug or the `search.eval` failpoint);
+    /// settlement quarantines the candidate.
+    Panicked,
+}
+
+/// The per-candidate panic containment every strategy's scoring runs
+/// under, behind the `search.eval` failpoint (so resilience tests can
+/// inject evaluation panics on every path).
+fn contain<R>(score: impl FnOnce() -> Scored<R>) -> Scored<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if matches!(
+            ruby_failpoints::hit("search.eval"),
+            ruby_failpoints::Action::Panic
+        ) {
+            // justified: deliberate: this is the injected
+            // fault the supervised workers must recover from.
+            panic!("failpoint search.eval: injected evaluation panic");
+        }
+        score()
+    }))
+    // The payload is dropped: the panic is contained, and settlement
+    // accounts for it via quarantine.
+    .unwrap_or(Scored::Panicked)
+}
+
+/// What a worker under [`supervise`] carries between restarts.
+struct Worker {
+    restarts_left: u64,
+    /// Canonical key of the candidate being handled outside [`contain`];
+    /// a panic escaping the body quarantines it.
+    in_flight: Option<u64>,
+}
+
+/// How a strategy's valid candidates feed best tracking and stopping,
+/// and what a contained panic costs it.
+enum Rule<'w> {
+    /// The sampler and the walk: Timeloop's victory counter. A valid
+    /// candidate that does not improve the best (a valid memo duplicate
+    /// too) counts toward `termination`, an improvement resets it, and
+    /// exact cost ties keep the smaller canonical key. A panic spends one
+    /// of the worker's restarts; with none left the run drains with
+    /// `"worker-failures"`.
+    Victory(&'w mut Worker),
+    /// The sweep: ties (memo duplicates of the best included) pull the
+    /// first-achiever ordinal of its patience rule back, and keep the
+    /// smaller canonical key. Panics are counted, never drained.
+    Patience,
+    /// Local search (the annealer and the sweep's permutation polish):
+    /// only strict improvements are recorded, so the first mapping to
+    /// reach a cost keeps it. Panics are counted, never drained.
+    Local,
+}
+
+/// Runs one worker per entry of `starts` — inline when `threads == 1`,
+/// else on scoped threads — and returns their final cursors. Only the
+/// inline worker checkpoints periodically: with one thread the loop is
+/// deterministic, so its snapshots sit on the uninterrupted run's own
+/// trajectory. A run that stopped early writes its drain checkpoint from
+/// the final cursors.
+fn fan_out<S: Default + Send>(
+    config: &SearchConfig,
+    shared: &Shared,
+    cpr: Option<&checkpoint::Checkpointer>,
+    starts: Vec<S>,
+    worker: impl Fn(S, Option<&checkpoint::Checkpointer>) -> S + Sync,
+    cursor: impl Fn(&[S]) -> checkpoint::Cursor,
+) -> Vec<S> {
+    let finals = if config.threads == 1 {
+        vec![worker(starts.into_iter().next().unwrap_or_default(), cpr)]
+    } else {
+        let worker = &worker;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = starts
+                .into_iter()
+                .map(|start| scope.spawn(move || worker(start, None)))
+                .collect();
+            handles
+                .into_iter()
+                // A join error means a panic escaped the supervised
+                // worker body (a harness bug); degrade to a fresh cursor.
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
+        })
+    };
+    if shared.is_stopped_early() {
+        if let Some(cpr) = cpr {
+            cpr.save(checkpoint::SearchCheckpoint::capture(
+                shared,
+                config,
+                cursor(&finals),
+            ));
+        }
+    }
+    finals
+}
+
+/// Runs a worker body under `catch_unwind`. A panic that escapes the
+/// per-candidate containment quarantines the candidate in flight and
+/// restarts the body — up to [`SearchConfig::max_worker_restarts`]
+/// times, after which the run drains with `"worker-failures"`.
+fn supervise(config: &SearchConfig, shared: &Shared, mut body: impl FnMut(&mut Worker)) {
+    shared.progress_thread_started();
+    let mut worker = Worker {
+        restarts_left: config.max_worker_restarts,
+        in_flight: None,
+    };
+    loop {
+        worker.in_flight = None;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut worker)));
+        if run.is_ok() {
+            break;
+        }
+        // Best-effort accounting: when the panic struck with no candidate
+        // in flight (e.g. inside the sampler or the batch decode), the
+        // charged reservations stay unclassified — a one-off slack in the
+        // `valid + invalid + duplicates` identity beats miscounting an
+        // unknown candidate.
+        if let Some(key) = worker.in_flight {
+            shared.quarantine(key);
+        }
+        if !shared.restart(Some(&mut worker.restarts_left)) {
+            break;
+        }
+    }
+    shared.progress_thread_stopped();
+}
+
+impl Shared {
+    /// Polls the interrupt sources, then reserves one evaluation against
+    /// `budget`. Returns the reservation's ordinal (the evaluation count
+    /// including it), or `None` with nothing reserved when an interrupt
+    /// fired or the budget is spent (which also raises the stop flag).
+    /// Polling first means draining never needs an undo, so a drain
+    /// checkpoint freezes a state the uninterrupted run also passes
+    /// through.
+    fn reserve(&self, budget: Option<u64>) -> Option<u64> {
+        if self.check_interrupt() {
+            return None;
+        }
+        let evals = self.charge();
+        if budget.is_some_and(|max| evals > max) {
+            // Undo the reservation so the reported total never exceeds
+            // the cap, however many threads raced here.
+            self.unreserve();
+            // ordering: Relaxed — advisory stop flag; the join barrier
+            // is the real synchronization point.
+            self.stop.store(true, Ordering::Relaxed);
+            return None;
+        }
+        Some(evals)
+    }
+
+    /// Charges one evaluation (no poll, no budget check) and returns its
+    /// ordinal.
+    fn charge(&self) -> u64 {
+        // ordering: Relaxed — budget counter; only its arithmetic value
+        // matters, no payload is published through it.
+        self.evals.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Hands one reservation back.
+    fn unreserve(&self) {
+        // ordering: Relaxed — same counter discipline as `charge`.
+        self.evals.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The best cost so far (`+inf` before any valid candidate).
+    fn best_cost(&self) -> f64 {
+        // ordering: Relaxed — value-only snapshot; the best only
+        // decreases, and the authoritative comparison runs under the
+        // record lock.
+        f64::from_bits(self.best_bits.load(Ordering::Relaxed))
+    }
+
+    /// Scores a fully built candidate: a memo probe, then on a miss the
+    /// model under [`contain`].
+    fn score(
+        &self,
+        ctx: &EvalContext,
+        objective: Objective,
+        mapping: &Mapping,
+        key: u64,
+    ) -> Scored<impl FnOnce() -> CostReport> {
+        if let Some(cost) = self.memo.as_ref().and_then(|memo| memo.probe(key)) {
+            return Scored::Duplicate(cost);
+        }
+        contain(|| match evaluate_with(ctx, mapping) {
+            Ok(report) => Scored::Valid(objective.cost(&report), move || report),
+            Err(_) => Scored::Invalid,
+        })
+    }
+
+    /// Settles one scored candidate into the counters, the memo, best
+    /// tracking and `rule`'s stopping state (the caller has already
+    /// charged its evaluation). `key` is its canonical key when the caller
+    /// has it (computed on demand otherwise); `ordinal` is its position
+    /// in the strategy's candidate sequence, which the trace records.
+    /// Returns its cost when it is valid and costed, memo duplicates
+    /// included.
+    fn settle(
+        &self,
+        config: &SearchConfig,
+        mut rule: Rule<'_>,
+        mapping: &Mapping,
+        key: Option<u64>,
+        ordinal: u64,
+        scored: Scored<impl FnOnce() -> CostReport>,
+    ) -> Option<f64> {
+        let key = || key.unwrap_or_else(|| mapping.canonical_key());
+        match scored {
+            Scored::Duplicate(cost) => {
+                // ordering: Relaxed — statistics counter, read after the
+                // thread join barrier (as are the counters below).
+                self.duplicates.fetch_add(1, Ordering::Relaxed);
+                if cost == f64::INFINITY {
+                    return None;
+                }
+                // The first occurrence already went through best
+                // tracking; a revisit only feeds the stopping rule.
+                match rule {
+                    Rule::Victory(_) => note_miss(self, config),
+                    Rule::Patience => note_tie_ordinal(self, cost, ordinal),
+                    Rule::Local => {}
+                }
+                Some(cost)
+            }
+            Scored::Valid(cost, report) => {
+                // ordering: Relaxed — statistics counter.
+                self.valid.fetch_add(1, Ordering::Relaxed);
+                if let Some(memo) = &self.memo {
+                    memo.insert(key(), cost);
+                }
+                let contends = !matches!(rule, Rule::Local) || cost < self.best_cost();
+                let improved = contends && try_improve(self, cost) && {
+                    // The report and the record update run outside
+                    // `contain`; a supervised worker quarantines this
+                    // candidate if they panic.
+                    let held = match &mut rule {
+                        Rule::Victory(worker) => worker.in_flight.replace(key()),
+                        _ => None,
+                    };
+                    let improved =
+                        record_improvement(self, config, mapping, report(), cost, ordinal);
+                    if let Rule::Victory(worker) = &mut rule {
+                        worker.in_flight = held;
+                    }
+                    improved
+                };
+                if let Rule::Victory(_) = rule {
+                    if improved {
+                        // ordering: Relaxed — approximate victory-counter
+                        // reset; racing increments are acceptable
+                        // (Timeloop semantics).
+                        self.fails.store(0, Ordering::Relaxed);
+                    } else {
+                        note_miss(self, config);
+                    }
+                }
+                Some(cost)
+            }
+            Scored::Bounded => {
+                // Counted exactly as the non-improving candidate it would
+                // have been had it been costed.
+                // ordering: Relaxed — statistics counter.
+                self.valid.fetch_add(1, Ordering::Relaxed);
+                if let Rule::Victory(_) = rule {
+                    note_miss(self, config);
+                }
+                None
+            }
+            Scored::Invalid => {
+                // Invalid candidates never feed a stopping rule.
+                // ordering: Relaxed — statistics counter.
+                self.invalid.fetch_add(1, Ordering::Relaxed);
+                if let Some(memo) = &self.memo {
+                    memo.insert(key(), f64::INFINITY);
+                }
+                None
+            }
+            Scored::Panicked => {
+                self.quarantine(key());
+                let restarts = match rule {
+                    Rule::Victory(worker) => Some(&mut worker.restarts_left),
+                    Rule::Patience | Rule::Local => None,
+                };
+                self.restart(restarts);
+                None
+            }
+        }
+    }
+
+    /// Quarantines a candidate whose scoring panicked: counts it invalid,
+    /// memoizes `+inf` (when the run has a memo) so no strategy retries
+    /// it, and records its key in the poison list.
+    fn quarantine(&self, key: u64) {
+        // ordering: Relaxed — statistics counters, read after join
+        // barriers.
+        self.invalid.fetch_add(1, Ordering::Relaxed);
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        if let Some(memo) = &self.memo {
+            memo.insert(key, f64::INFINITY);
+        }
+        self.poison
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(key);
+    }
+
+    /// Counts one contained panic as a worker restart. A supervised
+    /// worker passes its remaining restarts and spends one, or drains the
+    /// run with `"worker-failures"` when none are left; returns whether
+    /// it carries on.
+    fn restart(&self, restarts_left: Option<&mut u64>) -> bool {
+        // ordering: Relaxed — statistics counter, read after the join
+        // barrier.
+        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
+        match restarts_left {
+            Some(0) => {
+                self.mark_stopped_early(STOP_REASON_WORKER_FAILURES);
+                false
+            }
+            Some(left) => {
+                *left -= 1;
+                true
+            }
+            None => true,
+        }
+    }
+}
+
+/// Runs the rejection-sampling workers until `budget` (or termination):
+/// each round reserves one evaluation, samples a mapping, probes the
+/// memo and scores it.
 ///
 /// `phase` tags which role the sampler is playing (plain / hybrid
 /// warmup / enumeration fallback) so an interrupted run's checkpoint
@@ -753,244 +1073,73 @@ fn run_random(
     cpr: Option<&checkpoint::Checkpointer>,
     resume_rngs: Option<Vec<[u64; 4]>>,
 ) {
-    let rng_for = |t: usize| match resume_rngs.as_ref().and_then(|r| r.get(t)) {
-        Some(state) => SmallRng::from_state(*state),
-        None => SmallRng::seed_from_u64(spread_seed(config.seed, t as u64)),
-    };
-    let final_rngs: Vec<[u64; 4]> = if config.threads == 1 {
-        // Only the single-threaded worker checkpoints in-loop: with one
-        // thread the loop is deterministic, so the periodic snapshots
-        // sit on the uninterrupted run's own trajectory.
-        vec![worker(
-            mapspace,
-            config,
-            shared,
-            budget,
-            rng_for(0),
+    let starts = (0..config.threads)
+        .map(|t| match resume_rngs.as_ref().and_then(|r| r.get(t)) {
+            Some(state) => *state,
+            None => SmallRng::seed_from_u64(spread_seed(config.seed, t as u64)).to_state(),
+        })
+        .collect();
+    let cursor = |rngs: &[[u64; 4]]| {
+        checkpoint::Cursor::Random(checkpoint::RandomCursor {
             phase,
-            cpr,
-        )]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.threads)
-                .map(|t| {
-                    let rng = rng_for(t);
-                    scope.spawn(move || worker(mapspace, config, shared, budget, rng, phase, None))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A join error means a panic escaped the supervised
-                // worker body (a harness bug); degrade to a fresh state.
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
+            budget,
+            rngs: rngs.to_vec(),
         })
     };
-    if shared.is_stopped_early() {
-        if let Some(cpr) = cpr {
-            cpr.save(checkpoint::SearchCheckpoint::capture(
-                shared,
-                config,
-                checkpoint::Cursor::Random(checkpoint::RandomCursor {
-                    phase,
-                    budget,
-                    rngs: final_rngs,
-                }),
-            ));
-        }
-    }
-}
-
-/// One supervised sampling worker: the loop body runs under
-/// `catch_unwind`, and a panic that escapes the per-candidate
-/// containment in [`score_candidate`] quarantines the candidate in
-/// flight and restarts the body — up to
-/// [`SearchConfig::max_worker_restarts`] times, after which the run
-/// drains with `stop_reason: "worker-failures"`. Returns the final RNG
-/// state for the drain checkpoint.
-fn worker(
-    mapspace: &Mapspace,
-    config: &SearchConfig,
-    shared: &Shared,
-    budget: Option<u64>,
-    mut rng: SmallRng,
-    phase: checkpoint::RandomPhase,
-    cpr: Option<&checkpoint::Checkpointer>,
-) -> [u64; 4] {
-    let ctx = EvalContext::new(mapspace.arch(), mapspace.shape(), config.model);
-    let mut sampler = mapspace.sampler();
-    // justified: every architecture has >= 1 level, so the
-    // all-ones default factorization always builds; failure here is a
-    // programming error, not an input error.
-    let mut mapping = Mapping::builder(mapspace.arch().num_levels())
-        .build_for_bounds(mapspace.shape().bounds())
-        .expect("the default mapping is well-formed");
-    shared.progress_thread_started();
-    let mut restarts_left = config.max_worker_restarts;
-    loop {
-        let mut last_key: Option<u64> = None;
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(
-                config,
-                shared,
-                budget,
-                &ctx,
-                &mut sampler,
-                &mut mapping,
-                &mut rng,
-                phase,
-                cpr,
-                &mut restarts_left,
-                &mut last_key,
-            )
-        }));
-        match body {
-            Ok(()) => break,
-            Err(_) => {
-                // Best-effort accounting: when the panic struck before a
-                // candidate key existed (e.g. inside the sampler), the
-                // budget reservation stays unclassified — a one-off slack
-                // in the `valid + invalid + duplicates` identity beats
-                // miscounting an unknown candidate.
-                if let Some(key) = last_key {
-                    quarantine(shared, key);
+    let worker = |state, cpr: Option<&checkpoint::Checkpointer>| {
+        let ctx = EvalContext::new(mapspace.arch(), mapspace.shape(), config.model);
+        let mut sampler = mapspace.sampler();
+        // justified: every architecture has >= 1 level, so the
+        // all-ones default factorization always builds; failure here is
+        // a programming error, not an input error.
+        let mut mapping = Mapping::builder(mapspace.arch().num_levels())
+            .build_for_bounds(mapspace.shape().bounds())
+            .expect("the default mapping is well-formed");
+        let mut rng = SmallRng::from_state(state);
+        supervise(config, shared, |worker| {
+            // ordering: Relaxed — the stop flag is advisory: seeing it
+            // late only costs a few extra samples.
+            while !shared.stop.load(Ordering::Relaxed) {
+                worker.in_flight = None;
+                if let Some(cpr) = cpr {
+                    // ordering: Relaxed — value-only counter read; this
+                    // single-threaded loop is its only writer.
+                    let done = shared.evals.load(Ordering::Relaxed);
+                    if done > 0 && done.is_multiple_of(cpr.stride()) {
+                        let state = [rng.to_state()];
+                        cpr.save(checkpoint::SearchCheckpoint::capture(
+                            shared,
+                            config,
+                            cursor(&state),
+                        ));
+                    }
                 }
-                // ordering: Relaxed — statistics counter, read after the
-                // join barrier.
-                shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                if restarts_left == 0 {
-                    shared.mark_stopped_early(STOP_REASON_WORKER_FAILURES);
+                let Some(evals) = shared.reserve(budget) else {
                     break;
+                };
+                // One masked branch per candidate; the publish itself (a
+                // lossy CAS + word stores) runs once per stride per
+                // thread and is a no-op without an attached sink.
+                if evals & (engine::PROGRESS_STRIDE - 1) == 0 {
+                    shared.publish_progress();
                 }
-                restarts_left -= 1;
-            }
-        }
-    }
-    shared.progress_thread_stopped();
-    rng.to_state()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    config: &SearchConfig,
-    shared: &Shared,
-    budget: Option<u64>,
-    ctx: &EvalContext,
-    sampler: &mut ruby_mapspace::Sampler<'_>,
-    mapping: &mut Mapping,
-    rng: &mut SmallRng,
-    phase: checkpoint::RandomPhase,
-    cpr: Option<&checkpoint::Checkpointer>,
-    restarts_left: &mut u64,
-    last_key: &mut Option<u64>,
-) {
-    // ordering: Relaxed — the stop flag is advisory: seeing it late only
-    // costs a few extra samples, and the spawning scope's join is the
-    // real synchronization point for the final counter reads.
-    while !shared.stop.load(Ordering::Relaxed) {
-        *last_key = None;
-        // Interrupt poll sits before the budget reservation so draining
-        // never needs an undo — the checkpoint then freezes a state the
-        // uninterrupted run also passes through.
-        if shared.check_interrupt() {
-            break;
-        }
-        if let Some(cpr) = cpr {
-            // ordering: Relaxed — value-only counter read (see below).
-            let done = shared.evals.load(Ordering::Relaxed);
-            if done > 0 && done.is_multiple_of(cpr.stride()) {
-                cpr.save(checkpoint::SearchCheckpoint::capture(
-                    shared,
+                sampler.sample_into(&mut mapping, &mut rng);
+                let key = mapping.canonical_key();
+                worker.in_flight = Some(key);
+                let scored = shared.score(&ctx, config.objective, &mapping, key);
+                shared.settle(
                     config,
-                    checkpoint::Cursor::Random(checkpoint::RandomCursor {
-                        phase,
-                        budget,
-                        rngs: vec![rng.to_state()],
-                    }),
-                ));
+                    Rule::Victory(worker),
+                    &mapping,
+                    Some(key),
+                    evals,
+                    scored,
+                );
             }
-        }
-        // ordering: Relaxed — budget reservation counter; only its
-        // arithmetic value matters, no payload is published through it.
-        let evals = shared.evals.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(max) = budget {
-            if evals > max {
-                // Undo the reservation so the reported total never
-                // exceeds the cap, however many threads raced here.
-                // ordering: Relaxed — same counter/flag discipline as
-                // the reservation above.
-                shared.evals.fetch_sub(1, Ordering::Relaxed);
-                shared.stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-        // One masked branch per candidate; the publish itself (a lossy
-        // CAS + word stores) runs once per stride per thread and is a
-        // no-op without an attached sink.
-        if evals & (engine::PROGRESS_STRIDE - 1) == 0 {
-            shared.publish_progress();
-        }
-        sampler.sample_into(mapping, rng);
-        let key = mapping.canonical_key();
-        *last_key = Some(key);
-        if let Some(memo) = &shared.memo {
-            if let Some(cost) = memo.probe(key) {
-                // Already evaluated (by any thread or phase): the first
-                // occurrence updated the best, so skip the model — but
-                // keep Timeloop's victory condition intact: a revisited
-                // *valid* mapping is still a consecutive valid sample
-                // that failed to improve, while a revisited invalid one
-                // stays invisible to the counter.
-                // ordering: Relaxed — statistics counter, read only
-                // after the thread join barrier.
-                shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                if cost != f64::INFINITY {
-                    note_miss(shared, config);
-                }
-                continue;
-            }
-        }
-        let report = match score_candidate(ctx, mapping) {
-            Scored::Valid(report) => report,
-            Scored::Invalid => {
-                // ordering: Relaxed — statistics counter, read only
-                // after the thread join barrier.
-                shared.invalid.fetch_add(1, Ordering::Relaxed);
-                if let Some(memo) = &shared.memo {
-                    memo.insert(key, f64::INFINITY);
-                }
-                continue; // invalid mappings do not count toward termination
-            }
-            Scored::Panicked => {
-                quarantine(shared, key);
-                // ordering: Relaxed — statistics counter, read after the
-                // join barrier.
-                shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                if *restarts_left == 0 {
-                    shared.mark_stopped_early(STOP_REASON_WORKER_FAILURES);
-                    break;
-                }
-                *restarts_left -= 1;
-                continue;
-            }
-        };
-        // ordering: Relaxed — statistics counter, read only after the
-        // thread join barrier.
-        shared.valid.fetch_add(1, Ordering::Relaxed);
-        let cost = config.objective.cost(&report);
-        if let Some(memo) = &shared.memo {
-            memo.insert(key, cost);
-        }
-        if try_improve(shared, cost)
-            && record_improvement(shared, config, mapping, report, cost, evals)
-        {
-            // ordering: Relaxed — approximate victory-counter reset;
-            // racing increments are acceptable (Timeloop semantics).
-            shared.fails.store(0, Ordering::Relaxed);
-        } else {
-            note_miss(shared, config);
-        }
-    }
+        });
+        rng.to_state()
+    };
+    fan_out(config, shared, cpr, starts, worker, cursor);
 }
 
 /// Counts one valid candidate that did not improve the best toward
@@ -1104,10 +1253,9 @@ fn record_improvement(
 fn note_tie_ordinal(shared: &Shared, cost: f64, ordinal: u64) {
     // The memo only holds costs that already went through
     // `record_improvement`, so `cost` can never beat the recorded best;
-    // equality is the only interesting case and needs no CAS.
-    // ordering: Relaxed — value-only snapshot of the best cost; the
-    // authoritative comparison repeats under the record lock below.
-    if f64::from_bits(shared.best_bits.load(Ordering::Relaxed)) == cost {
+    // equality is the only interesting case and needs no CAS (the
+    // authoritative comparison repeats under the record lock).
+    if shared.best_cost() == cost {
         let mut record = shared.record.lock().unwrap_or_else(PoisonError::into_inner);
         if record.best.as_ref().is_some_and(|b| b.cost == cost) {
             record.best_ordinal = record.best_ordinal.min(ordinal);
