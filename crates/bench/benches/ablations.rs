@@ -112,8 +112,9 @@ fn ablation_noc_energy(c: &mut Criterion) {
     group.finish();
 }
 
-/// Search strategy: the paper's random sampling vs the simulated
-/// annealing extension, on a misaligned Eyeriss pointwise layer.
+/// Search strategy: the permuted walk (`random`, the service's default)
+/// vs the paper's rejection sampler at the same budget, on a misaligned
+/// Eyeriss pointwise layer.
 fn ablation_search_strategy(c: &mut Criterion) {
     let space = Mapspace::new(
         presets::eyeriss_like(14, 12),
@@ -123,19 +124,20 @@ fn ablation_search_strategy(c: &mut Criterion) {
     .with_constraints(Constraints::eyeriss_row_stationary(3, 1));
     let mut group = c.benchmark_group("ablation_search_strategy");
     group.sample_size(10);
-    let random_cfg = SearchConfig {
-        max_evaluations: Some(2_000),
-        termination: Some(400),
-        ..SearchConfig::default()
-    };
-    group.bench_function("random", |b| {
-        b.iter(|| Engine::new(&space).with_config(random_cfg.clone()).run())
-    });
-    let anneal_cfg = AnnealConfig {
-        steps: 2_000,
-        ..AnnealConfig::default()
-    };
-    group.bench_function("anneal", |b| b.iter(|| anneal(&space, &anneal_cfg)));
+    for (name, strategy) in [
+        ("random_walk", SearchStrategy::Random),
+        ("sampled", SearchStrategy::Sampled),
+    ] {
+        let config = SearchConfig {
+            max_evaluations: Some(2_000),
+            termination: Some(400),
+            strategy,
+            ..SearchConfig::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| Engine::new(&space).with_config(config.clone()).run())
+        });
+    }
     group.finish();
 }
 

@@ -8,7 +8,6 @@
 //! writes no JSON — the tier-1 regression gate.
 
 use ruby_bench::throughput;
-use ruby_core::search::SearchStrategy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,9 +39,8 @@ fn main() {
 
 /// A few hundred candidates per row, single-threaded: fails the process
 /// when any row finds no valid mapping, when the random walk repeats a
-/// candidate, or when single-thread warm or cold random or sampled
-/// throughput falls below half the committed `BENCH_search.json`
-/// baseline.
+/// candidate, or when any row's single-thread throughput falls below
+/// half the committed `BENCH_search.json` baseline.
 fn smoke() {
     let report = throughput::run(300, 1, &[1]);
     print!("{}", throughput::render(&report));
@@ -69,9 +67,9 @@ fn smoke() {
     println!("smoke ok: all strategies found valid mappings");
 }
 
-/// Regression guard: single-thread throughput of the `random`,
-/// `random-cold` and `sampled` rows must stay above half their committed
-/// `BENCH_search.json` points. Re-measured best-of-3 at a larger budget
+/// Regression guard: single-thread throughput of every row (`random`,
+/// `random-cold`, `sampled`, `exhaustive` and `hybrid`) must stay above
+/// half its committed `BENCH_search.json` point. Re-measured best-of-3 at a larger budget
 /// than the validity smoke so timer noise and cold caches don't trip
 /// the gate: the warm rows at 2,000 candidates, `random-cold` at the
 /// baseline's own budget (tabulation is a fixed cost per run, so its
@@ -102,10 +100,7 @@ fn throughput_floor() {
         std::process::exit(1);
     }
     let warm = throughput::space();
-    for row in throughput::ROWS
-        .into_iter()
-        .filter(|r| matches!(r.strategy, SearchStrategy::Random | SearchStrategy::Sampled))
-    {
+    for row in throughput::ROWS {
         let Some(base) = baseline
             .points
             .iter()

@@ -530,12 +530,18 @@ mod tests {
     }
 
     #[test]
-    fn anneal_strategy_runs_from_the_cli() {
-        let out = search(&argv(
+    fn a_removed_strategy_is_a_usage_error_naming_the_accepted_ones() {
+        match search(&argv(
             "--arch toy:16,1024 --workload rank1:113 --budget quick --strategy anneal",
-        ))
-        .unwrap();
-        assert!(out.contains("cycles:      8"), "{out}");
+        )) {
+            Err(CliError::Usage(msg)) => {
+                assert!(msg.contains("anneal"), "{msg}");
+                for name in ["random", "sampled", "exhaustive", "hybrid"] {
+                    assert!(msg.contains(name), "{msg} lacks {name}");
+                }
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

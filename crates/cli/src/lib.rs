@@ -124,7 +124,7 @@ ruby — imperfect-factorization mapping exploration
 USAGE:
   ruby search   --arch <spec> --workload <spec> [--space <kind>] \\
                 [--budget quick|medium|full] [--objective edp|energy|delay] \\
-                [--strategy random|sampled|exhaustive|hybrid|anneal] [--prune on|off] \\
+                [--strategy random|sampled|exhaustive|hybrid] [--prune on|off] \\
                 [--threads <n>] [--seed <n>] [--eyeriss-constraints] \\
                 [--json] [--out mapping.json] [--progress] \\
                 [--metrics-out metrics.jsonl] \\

@@ -52,7 +52,6 @@ pub mod prelude {
     pub use ruby_model::{
         evaluate, evaluate_with, CostReport, EvalContext, InvalidMapping, ModelOptions,
     };
-    pub use ruby_search::anneal::{anneal, AnnealConfig};
     pub use ruby_search::write_atomic;
     pub use ruby_search::{
         BestMapping, CheckpointError, ConfigError, Engine, HumanSink, JsonlSink, MemorySink,

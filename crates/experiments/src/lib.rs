@@ -15,8 +15,9 @@
 //! | [`fig14`]  | Fig. 14 — per-configuration EDP improvement over the sweep |
 //!
 //! Three extension studies go beyond the paper: [`ext_bypass`] (joint
-//! GLB-bypass/mapping exploration), [`ext_search`] (random vs annealing
-//! vs the search-free heuristic on the same Ruby-S space), and
+//! GLB-bypass/mapping exploration), [`ext_search`] (the permuted walk vs
+//! the paper's sampler vs the search-free heuristic vs pruned enumeration
+//! on the same Ruby-S space), and
 //! [`ext_hierarchy`] (Ruby-S on a four-level clustered design).
 //! [`records`] flattens any suite into timed per-layer search-quality
 //! JSONL records (the `layer_records` binary writes

@@ -4,8 +4,8 @@
 //! continue a run *bit-identically*: the best mapping found so far,
 //! every deterministic counter, the memo-cache contents (slot-exact,
 //! so probe/insert outcomes replay the same), the quarantine list, and
-//! a per-strategy [`Cursor`] (RNG states, sweep position, annealer
-//! temperature). Checkpoints are only taken at *deterministic
+//! a per-strategy [`Cursor`] (sampler RNG states, walk positions, sweep
+//! position). Checkpoints are only taken at *deterministic
 //! barriers* — points the uninterrupted run also passes through — so a
 //! resumed single-threaded run reaches exactly the outcome the
 //! uninterrupted run would have.
@@ -25,7 +25,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::PoisonError;
 
-use ruby_mapping::Mapping;
 use ruby_mapspace::Mapspace;
 use ruby_workload::Dim;
 use serde::{impl_serde_struct, impl_serde_unit_enum, Deserialize, Serialize, Value};
@@ -250,30 +249,6 @@ impl_serde_struct!(ExhaustiveCursor {
     probe_cost,
 });
 
-/// Resume state for the annealer, captured every checkpoint stride at
-/// the top of a step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnealCursor {
-    /// RNG state after the last completed step.
-    pub rng: [u64; 4],
-    /// Steps completed (resume runs `step..config.steps`).
-    pub step: u64,
-    /// Temperature at the barrier.
-    pub temperature: f64,
-    /// Cost of the current (accepted) mapping.
-    pub current_cost: f64,
-    /// The current (accepted) mapping itself.
-    pub current: Mapping,
-}
-
-impl_serde_struct!(AnnealCursor {
-    rng,
-    step,
-    temperature,
-    current_cost,
-    current,
-});
-
 /// Per-strategy resume position. `Done` marks a finished run, so
 /// resuming a completed search short-circuits to its recorded outcome
 /// instead of recomputing.
@@ -287,8 +262,6 @@ pub enum Cursor {
     Permuted(PermutedCursor),
     /// The exhaustive sweep.
     Exhaustive(ExhaustiveCursor),
-    /// Simulated annealing.
-    Anneal(AnnealCursor),
     /// The run finished; nothing to resume.
     Done {
         /// Whether the finished sweep covered the whole space.
@@ -302,7 +275,6 @@ impl Serialize for Cursor {
             Cursor::Random(c) => ("random", c.to_value()),
             Cursor::Permuted(c) => ("permuted", c.to_value()),
             Cursor::Exhaustive(c) => ("exhaustive", c.to_value()),
-            Cursor::Anneal(c) => ("anneal", c.to_value()),
             Cursor::Done { exhausted } => ("done", exhausted.to_value()),
         };
         Value::Obj(vec![
@@ -321,7 +293,6 @@ impl Deserialize for Cursor {
             "random" => Ok(Cursor::Random(RandomCursor::from_value(state)?)),
             "permuted" => Ok(Cursor::Permuted(PermutedCursor::from_value(state)?)),
             "exhaustive" => Ok(Cursor::Exhaustive(ExhaustiveCursor::from_value(state)?)),
-            "anneal" => Ok(Cursor::Anneal(AnnealCursor::from_value(state)?)),
             "done" => Ok(Cursor::Done {
                 exhausted: bool::from_value(state)?,
             }),
@@ -338,7 +309,7 @@ impl Deserialize for Cursor {
 pub struct SearchCheckpoint {
     /// [`fingerprint`] of the config + mapspace this was taken under.
     pub fingerprint: u64,
-    /// Strategy name (`random` / `exhaustive` / `hybrid` / `anneal`).
+    /// Strategy name (`random` / `sampled` / `exhaustive` / `hybrid`).
     pub strategy: String,
     /// Deterministic counters at the barrier.
     pub counters: CheckpointCounters,

@@ -1,8 +1,8 @@
 //! The unified search entry point: [`Engine`], the validating
 //! [`SearchConfigBuilder`], and progress streaming.
 //!
-//! Every strategy — random sampling, pruned enumeration, hybrid, and
-//! simulated annealing — runs through one facade:
+//! Every strategy — the permuted walk, the paper's rejection sampler,
+//! pruned enumeration and hybrid — runs through one facade:
 //!
 //! ```
 //! use ruby_arch::presets;
@@ -33,7 +33,6 @@ use ruby_mapspace::Mapspace;
 use ruby_telemetry::snapshot::{SearchSnapshot, SnapshotSlot};
 use ruby_telemetry::ProgressSink;
 
-use crate::anneal;
 use crate::checkpoint::{
     self, CheckpointError, Checkpointer, Cursor, RandomPhase, SearchCheckpoint,
 };
@@ -101,7 +100,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::UnknownStrategy(name) => write!(
                 f,
-                "unknown strategy `{name}` (expected random | sampled | exhaustive | hybrid | anneal)"
+                "unknown strategy `{name}` (expected random | sampled | exhaustive | hybrid)"
             ),
             ConfigError::InvalidMaxSeconds(value) => write!(
                 f,
@@ -562,7 +561,6 @@ fn cursor_matches(strategy: SearchStrategy, cursor: &Cursor) -> bool {
             matches!(c.phase, RandomPhase::Warmup | RandomPhase::Fallback)
         }
         (SearchStrategy::Hybrid, Cursor::Exhaustive(_)) => true,
-        (SearchStrategy::Anneal, Cursor::Anneal(_)) => true,
         _ => false,
     }
 }
@@ -604,63 +602,15 @@ fn dispatch(mapspace: &Mapspace, config: &SearchConfig, shared: &Shared, ctx: &R
     let cpr = ctx.checkpointer.as_ref();
     let cursor = ctx.resume.as_ref().map(|cp| &cp.cursor);
     match config.strategy {
-        SearchStrategy::Random => {
-            // The permuted walk is the default random path; the
-            // rejection sampler only runs when the space fails to
-            // tabulate. Both the failure and the choice are
-            // deterministic, so a cursor of either kind resumes
-            // straight back onto the leg that wrote it.
-            match cursor {
-                Some(Cursor::Permuted(c)) => permuted::run(
-                    mapspace,
-                    config,
-                    shared,
-                    c.budget,
-                    RandomPhase::Plain,
-                    cpr,
-                    Some(c.positions.clone()),
-                )
-                .unwrap_or(false),
-                Some(Cursor::Random(c)) => {
-                    run_random(
-                        mapspace,
-                        config,
-                        shared,
-                        c.budget,
-                        RandomPhase::Plain,
-                        cpr,
-                        Some(c.rngs.clone()),
-                    );
-                    false
-                }
-                _ => {
-                    let budget = config.max_evaluations;
-                    match permuted::run(
-                        mapspace,
-                        config,
-                        shared,
-                        budget,
-                        RandomPhase::Plain,
-                        cpr,
-                        None,
-                    ) {
-                        Some(complete) => complete,
-                        None => {
-                            run_random(
-                                mapspace,
-                                config,
-                                shared,
-                                budget,
-                                RandomPhase::Plain,
-                                cpr,
-                                None,
-                            );
-                            false
-                        }
-                    }
-                }
-            }
-        }
+        SearchStrategy::Random => random_leg(
+            mapspace,
+            config,
+            shared,
+            RandomPhase::Plain,
+            config.max_evaluations,
+            cpr,
+            cursor,
+        ),
         SearchStrategy::Sampled => {
             let (budget, rngs) = match cursor {
                 Some(Cursor::Random(c)) => (c.budget, Some(c.rngs.clone())),
@@ -677,94 +627,46 @@ fn dispatch(mapspace: &Mapspace, config: &SearchConfig, shared: &Shared, ctx: &R
             );
             false
         }
-        SearchStrategy::Exhaustive => {
-            let resume = match cursor {
-                Some(Cursor::Exhaustive(c)) => Some(exhaustive::Resume::Sweep(c.clone())),
-                Some(Cursor::Random(c)) => Some(exhaustive::Resume::Fallback(c.clone())),
-                _ => None,
-            };
-            let budget = match &resume {
-                Some(exhaustive::Resume::Sweep(c)) => c.budget,
-                Some(exhaustive::Resume::Fallback(c)) => c.budget,
-                None => config.max_evaluations,
-            };
-            exhaustive::run(mapspace, config, shared, budget, cpr, resume)
-        }
+        SearchStrategy::Exhaustive => exhaustive::run(
+            mapspace,
+            config,
+            shared,
+            config.max_evaluations,
+            cpr,
+            cursor,
+        ),
         SearchStrategy::Hybrid => {
             // A checkpoint from the enumeration leg (or its fallback)
-            // means the warmup already completed: skip straight back.
-            match cursor {
-                Some(Cursor::Exhaustive(c)) => {
-                    return exhaustive::run(
-                        mapspace,
-                        config,
-                        shared,
-                        c.budget,
-                        cpr,
-                        Some(exhaustive::Resume::Sweep(c.clone())),
-                    );
-                }
-                Some(Cursor::Random(c)) if c.phase == RandomPhase::Fallback => {
-                    return exhaustive::run(
-                        mapspace,
-                        config,
-                        shared,
-                        c.budget,
-                        cpr,
-                        Some(exhaustive::Resume::Fallback(c.clone())),
-                    );
-                }
-                _ => {}
+            // means the warmup already completed: skip straight back,
+            // under the budget the cursor carries.
+            let in_sweep = match cursor {
+                Some(Cursor::Exhaustive(_)) => true,
+                Some(Cursor::Random(c)) => c.phase == RandomPhase::Fallback,
+                _ => false,
+            };
+            if in_sweep {
+                return exhaustive::run(mapspace, config, shared, None, cpr, cursor);
             }
             // Random warm-up seeds the pruning bound, then enumeration
-            // spends the remainder. The warmup prefers the permuted
-            // walk (inserting into the memo so the enumeration leg
-            // dedups against it); a Random warmup cursor means the
-            // tables failed on the original run, so resume re-enters
-            // the sampler directly.
-            let (warmup, walk_resume, sampler_rngs) = match cursor {
-                Some(Cursor::Permuted(c)) => (c.budget, Some(c.positions.clone()), None),
-                Some(Cursor::Random(c)) => (c.budget, None, Some(c.rngs.clone())),
-                _ => (config.max_evaluations.map(|b| b / 3), None, None),
-            };
-            if let Some(rngs) = sampler_rngs {
-                run_random(
-                    mapspace,
-                    config,
-                    shared,
-                    warmup,
-                    RandomPhase::Warmup,
-                    cpr,
-                    Some(rngs),
-                );
-            } else if permuted::run(
+            // spends the remainder. The walk inserts into the memo, so
+            // the enumeration leg dedups against it.
+            let warmup = config.max_evaluations.map(|b| b / 3);
+            random_leg(
                 mapspace,
                 config,
                 shared,
-                warmup,
                 RandomPhase::Warmup,
+                warmup,
                 cpr,
-                walk_resume,
-            )
-            .is_none()
-            {
-                run_random(
-                    mapspace,
-                    config,
-                    shared,
-                    warmup,
-                    RandomPhase::Warmup,
-                    cpr,
-                    None,
-                );
-            }
+                cursor,
+            );
             if shared.is_stopped_early() {
                 // Interrupted mid-warmup: the warmup cursor was saved at
                 // the drain point; do not enter the enumeration leg.
                 return false;
             }
             // ordering: Relaxed — the warm-up threads were joined when
-            // run_random returned, so these resets are already ordered
+            // the leg returned, so these resets are already ordered
             // before the enumeration phase observes them.
             shared.stop.store(false, Ordering::Relaxed);
             shared.fails.store(0, Ordering::Relaxed);
@@ -775,22 +677,38 @@ fn dispatch(mapspace: &Mapspace, config: &SearchConfig, shared: &Shared, ctx: &R
             let remainder = config.max_evaluations.map(|b| b.saturating_sub(spent));
             exhaustive::run(mapspace, config, shared, remainder, cpr, None)
         }
-        SearchStrategy::Anneal => {
-            let resume = match cursor {
-                Some(Cursor::Anneal(c)) => Some(c),
-                _ => None,
-            };
-            anneal::run(
-                mapspace,
-                config,
-                &anneal::params(config),
-                shared,
-                cpr,
-                resume,
-            );
-            false
+    }
+}
+
+/// The random leg of `Random` and of `Hybrid`'s warm-up, playing `phase`
+/// under `budget`. The permuted walk is the default path; the rejection
+/// sampler only runs when the space fails to tabulate. Both the failure
+/// and the choice are deterministic, so a resume `cursor` of either kind
+/// goes straight back onto the leg that wrote it, under the budget that
+/// leg was launched with. Returns whether the walk covered the space.
+fn random_leg(
+    mapspace: &Mapspace,
+    config: &SearchConfig,
+    shared: &Shared,
+    phase: RandomPhase,
+    budget: Option<u64>,
+    cpr: Option<&Checkpointer>,
+    cursor: Option<&Cursor>,
+) -> bool {
+    let (budget, positions, rngs) = match cursor {
+        Some(Cursor::Permuted(c)) => (c.budget, Some(c.positions.clone()), None),
+        Some(Cursor::Random(c)) => (c.budget, None, Some(c.rngs.clone())),
+        _ => (budget, None, None),
+    };
+    if rngs.is_none() {
+        if let Some(complete) =
+            permuted::run(mapspace, config, shared, budget, phase, cpr, positions)
+        {
+            return complete;
         }
     }
+    run_random(mapspace, config, shared, budget, phase, cpr, rngs);
+    false
 }
 
 /// Drains `shared` into the final outcome.
@@ -1122,30 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_runs_the_anneal_strategy() {
-        let space = toy_space();
-        let outcome = Engine::new(&space)
-            .with_config(
-                SearchConfig::builder()
-                    .strategy(SearchStrategy::Anneal)
-                    .max_evaluations(2_000)
-                    .threads(1)
-                    .build()
-                    .expect("valid config"),
-            )
-            .run();
-        assert_eq!(
-            outcome
-                .best
-                .expect("annealing finds the optimum")
-                .report
-                .cycles(),
-            8
-        );
-        assert!(!outcome.exhausted, "annealing never proves exhaustion");
-    }
-
-    #[test]
     fn streaming_emits_snapshots_and_a_matching_summary() {
         let space = toy_space();
         let sink = MemorySink::new();
@@ -1185,46 +1079,6 @@ mod tests {
             <SearchOutcome as serde::Deserialize>::from_value(&summary).expect("summary parses");
         assert_eq!(round_trip.evaluations, outcome.evaluations);
         assert_eq!(round_trip.valid, outcome.valid);
-        assert_eq!(round_trip.duplicates, outcome.duplicates);
-        assert!(sink.metrics_dump().is_some(), "metrics follow the summary");
-    }
-
-    #[test]
-    fn streaming_anneal_emits_snapshots_and_a_matching_summary() {
-        let space = toy_space();
-        let sink = MemorySink::new();
-        let outcome = Engine::new(&space)
-            .with_config(
-                SearchConfig::builder()
-                    .strategy(SearchStrategy::Anneal)
-                    .max_evaluations(3_000)
-                    .threads(1)
-                    .build()
-                    .expect("valid config"),
-            )
-            .with_progress(Box::new(sink.clone()))
-            .progress_interval(Duration::from_millis(1))
-            .run();
-        let snapshots = sink.snapshots();
-        assert!(!snapshots.is_empty(), "streaming must emit >= 1 snapshot");
-        // The annealer publishes from the shared counters, and the final
-        // snapshot follows the run, so it agrees with the outcome.
-        let last = snapshots.last().expect("non-empty");
-        assert_eq!(last.evaluations, outcome.evaluations);
-        assert_eq!(last.valid, outcome.valid);
-        assert_eq!(last.invalid, outcome.invalid);
-        assert_eq!(last.duplicates, outcome.duplicates);
-        assert_eq!(last.improvements, outcome.trace.len() as u64);
-        let best = outcome.best.as_ref().expect("annealing finds a mapping");
-        assert_eq!(last.best_cost_bits, best.cost.to_bits());
-        assert!(
-            snapshots.windows(2).all(|w| w[0].seq < w[1].seq),
-            "monitor must deduplicate by seq"
-        );
-        let summary = sink.summary().expect("finish must run");
-        let round_trip =
-            <SearchOutcome as serde::Deserialize>::from_value(&summary).expect("summary parses");
-        assert_eq!(round_trip.evaluations, outcome.evaluations);
         assert_eq!(round_trip.duplicates, outcome.duplicates);
         assert!(sink.metrics_dump().is_some(), "metrics follow the summary");
     }

@@ -50,9 +50,7 @@ use ruby_mapping::Mapping;
 use ruby_mapspace::{EnumTables, Mapspace, Region, SubspaceIterator};
 use ruby_model::EvalContext;
 
-use crate::checkpoint::{
-    Checkpointer, Cursor, ExhaustiveCursor, RandomCursor, RandomPhase, SearchCheckpoint,
-};
+use crate::checkpoint::{Checkpointer, Cursor, ExhaustiveCursor, RandomPhase, SearchCheckpoint};
 use crate::{run_random, Rule, SearchConfig, Shared};
 
 /// Candidates per work chunk: the unit of parallel dispatch and of the
@@ -78,14 +76,6 @@ struct RegionWork {
     next: usize,
 }
 
-/// Where a checkpointed enumeration run left off: either inside the
-/// deterministic sweep itself, or inside the random-sampling fallback
-/// taken when the space could not be tabulated.
-pub(crate) enum Resume {
-    Sweep(ExhaustiveCursor),
-    Fallback(RandomCursor),
-}
-
 /// Runs the random fallback with the enumeration leg's budget
 /// adjustments (an otherwise unbounded exhaustive run gets a finite
 /// patience so the fallback terminates).
@@ -97,41 +87,37 @@ fn run_fallback(
     cpr: Option<&Checkpointer>,
     rngs: Option<Vec<[u64; 4]>>,
 ) {
-    if budget.is_none() && config.termination.is_none() {
-        // Exhaustive mode skips the unbounded-search assert, so give
-        // the fallback a finite victory condition.
-        let fallback = SearchConfig {
+    // Exhaustive mode skips the unbounded-search assert, so give the
+    // fallback a finite victory condition.
+    let bounded;
+    let config = if budget.is_none() && config.termination.is_none() {
+        bounded = SearchConfig {
             termination: Some(1_000),
             ..config.clone()
         };
-        run_random(
-            mapspace,
-            &fallback,
-            shared,
-            budget,
-            RandomPhase::Fallback,
-            cpr,
-            rngs,
-        );
+        &bounded
     } else {
-        run_random(
-            mapspace,
-            config,
-            shared,
-            budget,
-            RandomPhase::Fallback,
-            cpr,
-            rngs,
-        );
-    }
+        config
+    };
+    run_random(
+        mapspace,
+        config,
+        shared,
+        budget,
+        RandomPhase::Fallback,
+        cpr,
+        rngs,
+    );
 }
 
 /// Runs pruned enumeration under `budget` considered candidates; returns
 /// whether the whole deduplicated chain space was covered. Falls back to
 /// random sampling (returning `false`) when the space is too large to
-/// tabulate. A `resume` cursor re-enters the matching leg: the sweep
-/// restarts from its last batch barrier (the batch in flight is redone,
-/// bit-identically, against the restored counters/memo/best), the
+/// tabulate. A resume `cursor` re-enters the leg that wrote it, under the
+/// budget it was launched with: an [`ExhaustiveCursor`] restarts the sweep
+/// from its last batch barrier (the batch in flight is redone,
+/// bit-identically, against the restored counters/memo/best), a
+/// [`RandomCursor`](crate::checkpoint::RandomCursor) restarts the
 /// fallback from its saved sampler states.
 pub(crate) fn run(
     mapspace: &Mapspace,
@@ -139,31 +125,29 @@ pub(crate) fn run(
     shared: &Shared,
     budget: Option<u64>,
     cpr: Option<&Checkpointer>,
-    resume: Option<Resume>,
+    cursor: Option<&Cursor>,
 ) -> bool {
-    let sweep_resume = match resume {
-        Some(Resume::Fallback(cursor)) => {
+    let sweep_resume = match cursor {
+        Some(Cursor::Random(c)) => {
             // The interrupted run already proved the space untabulable;
             // skip the (expensive) table build and rejoin the fallback.
             run_fallback(
                 mapspace,
                 config,
                 shared,
-                cursor.budget,
+                c.budget,
                 cpr,
-                Some(cursor.rngs),
+                Some(c.rngs.clone()),
             );
             return false;
         }
-        Some(Resume::Sweep(cursor)) => Some(cursor),
-        None => None,
+        Some(Cursor::Exhaustive(c)) => Some(c),
+        _ => None,
     };
-    let tables = match mapspace.enum_tables() {
-        Some(tables) => tables,
-        None => {
-            run_fallback(mapspace, config, shared, budget, cpr, None);
-            return false;
-        }
+    let budget = sweep_resume.map_or(budget, |c| c.budget);
+    let Some(tables) = mapspace.enum_tables() else {
+        run_fallback(mapspace, config, shared, budget, cpr, None);
+        return false;
     };
 
     if sweep_resume.is_none() {
@@ -227,7 +211,7 @@ pub(crate) fn run(
     let mut start_pi = 0usize; // probe cursor into `order`
     let mut probe_cost = vec![f64::INFINITY; regions.len()];
     let mut skip_probe = false;
-    if let Some(cursor) = &sweep_resume {
+    if let Some(cursor) = sweep_resume {
         // Restore the sweep coordinates verbatim. A mid-probe checkpoint
         // rejoins the probe loop (the floor-sorted `order` it stored is
         // the pre-sort one); a batch-barrier checkpoint skips straight

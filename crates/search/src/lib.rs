@@ -33,9 +33,9 @@
 //!
 //! The strategies differ only in where candidates come from: the
 //! rejection sampler draws one per round, the permuted walk decodes up
-//! to a batch, the sweep visits screened leaves in a fixed order and the
-//! annealer proposes neighbours. What happens to a candidate is written
-//! once, at the crate root:
+//! to a batch, and the sweep visits screened leaves in a fixed order and
+//! then polishes the winner's loop orders. What happens to a candidate is
+//! written once, at the crate root:
 //!
 //! * **fan-out** — N workers (inline with one thread), joined, with the
 //!   drain checkpoint written from their final cursors on an early stop;
@@ -50,10 +50,9 @@
 //!   memo duplicate or panicked) becomes counters, memo entries, best
 //!   tracking and the strategy's stopping state: Timeloop's victory
 //!   counter for the sampler and the walk, the patience ordinal for the
-//!   sweep, strict improvements for local search (the annealer and the
-//!   sweep's permutation polish). Only supervised workers drain on a
-//!   spent restart budget; the sweep and the annealer count panics but
-//!   keep going.
+//!   sweep, strict improvements for the sweep's permutation polish. Only
+//!   supervised workers drain on a spent restart budget; the sweep counts
+//!   panics but keeps going.
 //!
 //! # Examples
 //!
@@ -82,7 +81,6 @@
 //! module docs); the sink also receives the summary and the metrics
 //! registry dump.
 
-pub mod anneal;
 pub mod checkpoint;
 mod engine;
 mod exhaustive;
@@ -235,16 +233,6 @@ pub enum SearchStrategy {
     /// A random warm-up (one third of the budget) to seed the pruning
     /// bound, then enumeration over the remainder.
     Hybrid,
-    /// Single-threaded simulated annealing ([`anneal`]) on the shared
-    /// candidate protocol (see the crate docs): neighbours are scored and
-    /// settled like any strategy's candidates, with strict best tracking;
-    /// stop tokens and deadlines are polled every step, checkpoints land
-    /// on step boundaries, and progress streams live. `max_evaluations`
-    /// maps onto the step budget (the search for a valid starting point
-    /// is charged on top), `termination` and `threads` do not apply, and
-    /// annealing-specific knobs keep their [`anneal::AnnealConfig`]
-    /// defaults.
-    Anneal,
 }
 
 impl SearchStrategy {
@@ -255,7 +243,6 @@ impl SearchStrategy {
             SearchStrategy::Sampled => "sampled",
             SearchStrategy::Exhaustive => "exhaustive",
             SearchStrategy::Hybrid => "hybrid",
-            SearchStrategy::Anneal => "anneal",
         }
     }
 }
@@ -275,7 +262,6 @@ impl std::str::FromStr for SearchStrategy {
             "sampled" => Ok(SearchStrategy::Sampled),
             "exhaustive" => Ok(SearchStrategy::Exhaustive),
             "hybrid" => Ok(SearchStrategy::Hybrid),
-            "anneal" => Ok(SearchStrategy::Anneal),
             other => Err(ConfigError::UnknownStrategy(other.to_owned())),
         }
     }
@@ -770,9 +756,10 @@ enum Rule<'w> {
     /// first-achiever ordinal of its patience rule back, and keep the
     /// smaller canonical key. Panics are counted, never drained.
     Patience,
-    /// Local search (the annealer and the sweep's permutation polish):
-    /// only strict improvements are recorded, so the first mapping to
-    /// reach a cost keeps it. Panics are counted, never drained.
+    /// The sweep's permutation polish (a local search around the
+    /// winner): only strict improvements are recorded, so the first
+    /// mapping to reach a cost keeps it. Panics are counted, never
+    /// drained.
     Local,
 }
 
@@ -1321,15 +1308,39 @@ mod tests {
         assert!(evals.windows(2).all(|w| w[1] >= w[0]));
     }
 
+    /// Every strategy, so the contracts below cover each one.
+    const STRATEGIES: [SearchStrategy; 4] = [
+        SearchStrategy::Random,
+        SearchStrategy::Sampled,
+        SearchStrategy::Exhaustive,
+        SearchStrategy::Hybrid,
+    ];
+
     #[test]
     fn max_evaluations_bounds_work() {
-        let config = SearchConfig {
-            max_evaluations: Some(50),
-            termination: None,
-            ..SearchConfig::default()
-        };
-        let outcome = search(&toy_space(MapspaceKind::Ruby, 9, 100), &config);
-        assert!(outcome.evaluations <= 50, "{}", outcome.evaluations);
+        // A space that tabulates (the walk and the sweep run on their
+        // tables) and one whose Ruby chain table overflows (every
+        // strategy falls back to the rejection sampler).
+        let spaces = [
+            toy_space(MapspaceKind::Ruby, 9, 100),
+            toy_space(MapspaceKind::Ruby, 16, 1_000_000),
+        ];
+        for strategy in STRATEGIES {
+            for space in &spaces {
+                let config = SearchConfig {
+                    max_evaluations: Some(50),
+                    termination: None,
+                    strategy,
+                    ..SearchConfig::default()
+                };
+                let outcome = search(space, &config);
+                assert!(
+                    outcome.evaluations <= 50,
+                    "{strategy}: {} evaluations",
+                    outcome.evaluations
+                );
+            }
+        }
     }
 
     #[test]
@@ -1637,20 +1648,16 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip() {
-        for s in [
-            SearchStrategy::Random,
-            SearchStrategy::Sampled,
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Hybrid,
-            SearchStrategy::Anneal,
-        ] {
+        for s in STRATEGIES {
             assert_eq!(s.name().parse(), Ok(s));
             assert_eq!(s.to_string(), s.name());
         }
-        assert_eq!(
-            "genetic".parse::<SearchStrategy>(),
-            Err(ConfigError::UnknownStrategy("genetic".to_owned()))
-        );
+        for unknown in ["genetic", "anneal"] {
+            assert_eq!(
+                unknown.parse::<SearchStrategy>(),
+                Err(ConfigError::UnknownStrategy(unknown.to_owned()))
+            );
+        }
     }
 
     #[test]

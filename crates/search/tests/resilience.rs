@@ -155,11 +155,6 @@ fn hybrid_kill_and_resume_matches_uninterrupted() {
 }
 
 #[test]
-fn anneal_kill_and_resume_matches_uninterrupted() {
-    kill_and_resume(SearchStrategy::Anneal);
-}
-
-#[test]
 fn resume_rejects_a_checkpoint_from_a_different_config() {
     let _guard = shield();
     let space = toy_space();

@@ -1,6 +1,7 @@
-//! Search strategies over the same Ruby-S mapspace: the paper's random
-//! sampling, simulated annealing, and the search-free utilization-first
-//! heuristic, on AlexNet layer 2 over the Eyeriss-like baseline.
+//! Search strategies over the same Ruby-S mapspace: the permuted walk
+//! (the default `random` strategy), the paper's rejection sampler, and
+//! the search-free utilization-first heuristic, on AlexNet layer 2 over
+//! the Eyeriss-like baseline.
 //!
 //! Run with: `cargo run --release --example search_strategies`
 
@@ -21,42 +22,30 @@ fn main() {
         "strategy", "best EDP", "evaluations", "time"
     );
 
-    // 1. Random sampling (the paper's search), via the Engine facade
-    //    and the validating config builder.
-    let t = Instant::now();
-    let config = SearchConfig::builder()
-        .seed(5)
-        .max_evaluations(10_000)
-        .termination(1_500)
-        .threads(4)
-        .build()
-        .expect("positive budgets are a valid config");
-    let random = Engine::new(&space).with_config(config).run();
-    print_row(
-        "random",
-        random.best.as_ref().map(|b| b.report.edp()),
-        random.evaluations,
-        t,
-    );
-
-    // 2. Simulated annealing: same engine entry point, different
-    //    strategy (max_evaluations becomes the annealer's step budget).
-    let t = Instant::now();
-    let annealed = Engine::new(&space)
-        .with_config(SearchConfig {
-            seed: 5,
-            max_evaluations: Some(10_000),
-            termination: None,
-            strategy: SearchStrategy::Anneal,
-            ..SearchConfig::default()
-        })
-        .run();
-    print_row(
-        "anneal",
-        annealed.best.as_ref().map(|b| b.report.edp()),
-        annealed.evaluations,
-        t,
-    );
+    // 1. The permuted walk (the default `random` strategy) and 2. the
+    //    paper's rejection sampler: same Engine facade and budget, built
+    //    with the validating config builder.
+    for (name, strategy) in [
+        ("walk", SearchStrategy::Random),
+        ("sampled", SearchStrategy::Sampled),
+    ] {
+        let t = Instant::now();
+        let config = SearchConfig::builder()
+            .seed(5)
+            .max_evaluations(10_000)
+            .termination(1_500)
+            .threads(4)
+            .strategy(strategy)
+            .build()
+            .expect("positive budgets are a valid config");
+        let outcome = Engine::new(&space).with_config(config).run();
+        print_row(
+            name,
+            outcome.best.as_ref().map(|b| b.report.edp()),
+            outcome.evaluations,
+            t,
+        );
+    }
 
     // 3. Search-free heuristic (a handful of constructive candidates).
     let t = Instant::now();
